@@ -188,20 +188,6 @@ class Transport:
         """
         return 0.0
 
-    def stream_state(self) -> Optional[Dict[str, Any]]:
-        """JSON-safe state of any keyed counter streams (hook).
-
-        Checkpoints capture numpy generator state separately (it predates
-        this hook); transports that keep *additional* stream state -- the
-        per-edge message counters of the ``stream="edge"`` modes -- export
-        it here so a resumed run continues every edge stream exactly where
-        it stopped.  ``None`` means nothing beyond the generator state.
-        """
-        return None
-
-    def restore_stream_state(self, state: Optional[Dict[str, Any]]) -> None:
-        """Restore what :meth:`stream_state` exported (hook)."""
-
     # ------------------------------------------------------------------ #
     # delivery scheduling
     # ------------------------------------------------------------------ #
@@ -379,20 +365,6 @@ def _edge_stream_rng(
     return np.random.default_rng(int.from_bytes(digest, "little"))
 
 
-def _encode_edge_key(value: Any) -> Any:
-    """Tuples (arbitrarily nested) -> lists, for JSON-safe stream state."""
-    if isinstance(value, tuple):
-        return [_encode_edge_key(item) for item in value]
-    return value
-
-
-def _decode_edge_key(value: Any) -> Any:
-    """The inverse of :func:`_encode_edge_key` (lists -> tuples)."""
-    if isinstance(value, list):
-        return tuple(_decode_edge_key(item) for item in value)
-    return value
-
-
 class LatencyTransport(Transport):
     """Per-edge deterministic jitter: each directed link has a fixed latency.
 
@@ -543,26 +515,6 @@ class LossyTransport(Transport):
         # the delay floor either way.
         return self.delay
 
-    def stream_state(self) -> Optional[Dict[str, Any]]:
-        if self.stream != "edge":
-            return None
-        return {
-            "edge_counts": [
-                [_encode_edge_key(edge), count]
-                for edge, count in sorted(
-                    self._edge_counts.items(), key=lambda item: repr(item[0])
-                )
-            ]
-        }
-
-    def restore_stream_state(self, state: Optional[Dict[str, Any]]) -> None:
-        if not state:
-            return
-        self._edge_counts = {
-            _decode_edge_key(edge): int(count)
-            for edge, count in state.get("edge_counts", [])
-        }
-
 
 class CorruptingTransport(Transport):
     """Seeded Byzantine corruption of the Phase I/II protocol messages.
@@ -680,26 +632,6 @@ class CorruptingTransport(Transport):
     def min_latency(self) -> float:
         return self.delay
 
-    def stream_state(self) -> Optional[Dict[str, Any]]:
-        if self.stream != "edge":
-            return None
-        return {
-            "edge_counts": [
-                [_encode_edge_key(edge), count]
-                for edge, count in sorted(
-                    self._edge_counts.items(), key=lambda item: repr(item[0])
-                )
-            ]
-        }
-
-    def restore_stream_state(self, state: Optional[Dict[str, Any]]) -> None:
-        if not state:
-            return
-        self._edge_counts = {
-            _decode_edge_key(edge): int(count)
-            for edge, count in state.get("edge_counts", [])
-        }
-
 
 class RetransmitTransport(Transport):
     """Per-message ack/retransmission wrapper around any inner transport.
@@ -791,12 +723,6 @@ class RetransmitTransport(Transport):
 
     def min_latency(self) -> float:
         return self.inner.min_latency()
-
-    def stream_state(self) -> Optional[Dict[str, Any]]:
-        return self.inner.stream_state()
-
-    def restore_stream_state(self, state: Optional[Dict[str, Any]]) -> None:
-        self.inner.restore_stream_state(state)
 
 
 class RandomJitterTransport(Transport):

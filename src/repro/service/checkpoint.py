@@ -22,334 +22,530 @@ keeps the format small and exact:
   which the differential suite asserts end-to-end (resume-at-T equals
   uninterrupted).
 
+The format is declared once, as the :class:`Table` constants below.  A
+:class:`Row` names a JSON key, the attribute path it mirrors and a codec;
+one walk over a table captures an object, and the same walk restores it
+onto a freshly built run.  Per-vehicle rows carry a default: a field is
+written only where it differs from its default, and restore resets every
+absent field to it.  Restore rejects any key a table does not declare.
+
 JSON keeps every float exact (``repr`` round-trip), so "byte-identical"
 means exactly that, not "close".
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
+from array import array
+from copy import copy
+from dataclasses import fields
+from functools import partial
+from operator import attrgetter
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
-
-import numpy as np
+from types import SimpleNamespace
+from typing import Any, Callable, Dict, NamedTuple, Optional
 
 from repro.core.demand import Job
+from repro.distsim.events import EventStats
 from repro.distsim.failures import ChurnSpec
 from repro.io.serialize import load_json, save_json
-from repro.vehicles.fleet import Fleet
+from repro.service.metrics import LatencyDigest
+from repro.vehicles.fleet import Fleet, FleetStats
 from repro.vehicles.registry import WATCH_NEVER, WATCH_NONE
 from repro.vehicles.state import TransferState, WorkingState
 
 __all__ = [
     "CHECKPOINT_SCHEMA",
     "CHECKPOINT_VERSION",
+    "Codec",
+    "Row",
+    "Table",
     "capture_checkpoint",
+    "restore_checkpoint",
     "save_checkpoint",
     "save_rotated_checkpoint",
     "rotated_checkpoint_path",
     "load_checkpoint",
-    "restore_fleet_state",
-    "restore_transport_state",
     "fleet_digest",
 ]
 
 CHECKPOINT_SCHEMA = "repro.service/checkpoint"
 CHECKPOINT_VERSION = 1
 
+
+# --------------------------------------------------------------------- #
+# codecs
+# --------------------------------------------------------------------- #
+
+
+class Codec(NamedTuple):
+    """A value codec: ``encode`` to JSON-safe data, ``decode`` back."""
+
+    encode: Callable[[Any], Any]
+    decode: Callable[[Any], Any]
+
+
+def _same(value: Any) -> Any:
+    return value
+
+
+def _edge_encode(value: Any) -> Any:
+    return [_edge_encode(item) for item in value] if isinstance(value, tuple) else value
+
+
+def _edge_decode(raw: Any) -> Any:
+    return tuple(_edge_decode(item) for item in raw) if isinstance(raw, list) else raw
+
+
+RAW = Codec(_same, _same)
+POINT = Codec(list, tuple)
+OPT_POINT = Codec(
+    lambda p: None if p is None else list(p), lambda r: None if r is None else tuple(r)
+)
+#: A computation tag ``(initiator, round)``.
+TAG = Codec(lambda tag: [list(tag[0]), int(tag[1])], lambda raw: (tuple(raw[0]), int(raw[1])))
+DIGEST = Codec(LatencyDigest.to_json, LatencyDigest.from_json)
+#: A transport edge key: tuples nested to any depth become lists.
+EDGE = Codec(_edge_encode, _edge_decode)
+
+
+def array_of(typecode: str) -> Codec:
+    return Codec(list, partial(array, typecode))
+
+
+def list_of(item: Codec) -> Codec:
+    encode, decode = item
+    return Codec(lambda v: list(map(encode, v)), lambda raw: list(map(decode, raw)))
+
+
+def set_of(item: Codec) -> Codec:
+    """A set, written as the sorted list of its encoded members."""
+    encode, decode = item
+    return Codec(lambda v: sorted(encode(x) for x in v), lambda raw: {decode(x) for x in raw})
+
+
+def tuple_of(*items: Codec) -> Codec:
+    return Codec(
+        lambda v: [c.encode(x) for c, x in zip(items, v)],
+        lambda raw: tuple(c.decode(x) for c, x in zip(items, raw)),
+    )
+
+
+def items(key: Codec, value: Codec, order: Any = False) -> Codec:
+    """A dict as ``[[key, value], ...]``: insertion order, sorted
+    (``order=True``), or sorted by the key function ``order``."""
+    kenc, kdec = key
+    venc, vdec = value
+    sort_key = None if order is True else order
+
+    def encode(mapping: Dict) -> list:
+        pairs = sorted(mapping.items(), key=sort_key) if order else mapping.items()
+        if value is RAW:  # the common case; skips one call per entry
+            return [[kenc(k), v] for k, v in pairs]
+        return [[kenc(k), venc(v)] for k, v in pairs]
+
+    return Codec(encode, lambda raw: {kdec(k): vdec(v) for k, v in raw})
+
+
+def record(positional: bool = False, **named: Codec) -> Codec:
+    """A dict with fixed keys, written as a dict (or, positionally, a list)."""
+    if positional:
+        return Codec(
+            lambda v: [c.encode(v[n]) for n, c in named.items()],
+            lambda raw: {n: c.decode(x) for (n, c), x in zip(named.items(), raw)},
+        )
+    return Codec(
+        lambda v: {n: c.encode(v[n]) for n, c in named.items()},
+        lambda raw: {n: c.decode(raw[n]) for n, c in named.items()},
+    )
+
+
+# --------------------------------------------------------------------- #
+# rows and tables
+# --------------------------------------------------------------------- #
+
+_NO_DEFAULT = object()
+
+
+class Row:
+    """One declared field of a :class:`Table`.
+
+    ``key`` is the JSON key; ``path`` the dotted attribute path (default:
+    the key; ``""`` is the owner itself).  ``codec`` is a value
+    :class:`Codec`, or a nested object codec with ``capture(obj)`` and
+    ``restore(obj, raw)`` (a :class:`Table` is one) that restores in place.
+    A row with a ``default`` is *sparse*: written only where the value
+    differs from it, reset to it when absent.  An ``optional`` row is
+    omitted where its path does not resolve or captures ``None``, and left
+    as constructed when absent.  A ``check`` row is a construction constant
+    that restore verifies instead of assigning.
+    """
+
+    def __init__(
+        self,
+        key: str,
+        path: Optional[str] = None,
+        codec: Any = RAW,
+        *,
+        default: Any = _NO_DEFAULT,
+        optional: bool = False,
+        check: bool = False,
+    ) -> None:
+        self.key = key
+        self.path = key if path is None else path
+        self.codec = codec
+        self.default = default
+        self.sparse = default is not _NO_DEFAULT
+        self.optional = optional
+        self.check = check
+        self.nested = not isinstance(codec, Codec)
+        self.encode = codec.capture if self.nested else codec.encode
+        self.get = attrgetter(self.path) if self.path else _same
+        head, _, self._name = self.path.rpartition(".")
+        self._owner = attrgetter(head) if head else _same
+
+    def assign(self, obj: Any, value: Any) -> None:
+        setattr(self._owner(obj), self._name, value)
+
+
+class Table:
+    """An ordered list of rows: one walk captures an object, one restores it."""
+
+    def __init__(self, name: str, *rows: Row) -> None:
+        self.name = name
+        self.rows = rows
+        self.keys = frozenset(row.key for row in rows)
+        self._sparse = [row for row in rows if row.sparse]
+        self._dense = [row for row in rows if not row.sparse]
+        self._defaults = tuple(row.default for row in self._sparse)
+        if self._sparse:
+            values = attrgetter(*(row.path for row in self._sparse))
+            self._values = values if len(self._sparse) > 1 else lambda obj: (values(obj),)
+
+    def changed(self, obj: Any) -> Dict[str, Any]:
+        """The sparse rows of ``obj`` off their defaults, encoded."""
+        values = self._values(obj)
+        if values == self._defaults:  # the typical object: one tuple compare
+            return {}
+        return {
+            row.key: row.encode(value)
+            for row, value, default in zip(self._sparse, values, self._defaults)
+            if value != default
+        }
+
+    def capture(self, obj: Any) -> Dict[str, Any]:
+        out = self.changed(obj) if self._sparse else {}
+        for row in self._dense:
+            try:
+                value = row.get(obj)
+            except AttributeError:
+                if row.optional:
+                    continue
+                raise
+            if value is not None:
+                value = row.encode(value)
+            if value is not None or not row.optional:
+                out[row.key] = value
+        return out
+
+    def restore(self, obj: Any, payload: Dict[str, Any], where: Optional[str] = None) -> None:
+        unknown = payload.keys() - self.keys
+        if unknown:
+            where = where or self.name
+            raise ValueError(f"unknown checkpoint key(s) in {where}: {sorted(unknown)}")
+        for row in self.rows:
+            if row.key not in payload:
+                if row.sparse:
+                    row.assign(obj, copy(row.default))
+                elif not row.optional:
+                    raise ValueError(f"checkpoint {self.name} lacks {row.key!r}")
+                continue
+            raw = payload[row.key]
+            if row.nested:
+                target = row.get(obj)
+                if target is not None and raw is not None:
+                    row.codec.restore(target, raw)
+                continue
+            value = None if raw is None else row.codec.decode(raw)
+            if not row.check:
+                row.assign(obj, value)
+            elif value != row.get(obj):
+                raise ValueError(
+                    f"snapshot {self.name} {row.key} {value!r} does not match "
+                    f"the rebuilt {row.get(obj)!r}"
+                )
+
+
+# --------------------------------------------------------------------- #
+# object codecs for what plain rows cannot express
+# --------------------------------------------------------------------- #
+
+
+class _Via:
+    """A nested table applied to ``owner(obj)``; captures ``None`` where
+    the owner is ``None``.  ``table`` is called on use, so a table can
+    nest itself (:data:`TRANSPORT` through ``inner``)."""
+
+    def __init__(self, owner: Callable[[Any], Any], table: Callable[[], Table]) -> None:
+        self.owner = owner
+        self.table = table
+
+    def capture(self, obj: Any) -> Optional[Dict[str, Any]]:
+        owner = self.owner(obj)
+        return None if owner is None else self.table().capture(owner)
+
+    def restore(self, obj: Any, raw: Dict[str, Any]) -> None:
+        self.table().restore(self.owner(obj), raw)
+
+
+def _edge_stream_owner(transport):
+    """The channel whose per-edge counters a transport's ``streams`` entry
+    carries: itself in ``stream="edge"`` mode, else (a retransmit wrapper
+    repeats them) its inner channel's; ``None`` when there are none."""
+    while transport is not None and getattr(transport, "stream", None) != "edge":
+        transport = getattr(transport, "inner", None)
+    return transport
+
+
+class _PairLive:
+    """Every vehicle's ``pair_key`` as a dense column of pair ids (-1: none)."""
+
+    def capture(self, fleet: Fleet) -> list:
+        pair_id_of = fleet.flat.pair_id_of
+        keys = [fleet.vehicles[identity].pair_key for identity in fleet.flat.identities]
+        return [-1 if key is None else pair_id_of[key] for key in keys]
+
+    def restore(self, fleet: Fleet, column: list) -> None:
+        flat = fleet.flat
+        for identity, pair_id in zip(flat.identities, column):
+            fleet.vehicles[identity].pair_key = flat.pair_keys[pair_id] if pair_id >= 0 else None
+
+
 _WORKING_BY_CODE = {0: WorkingState.IDLE, 1: WorkingState.ACTIVE, 2: WorkingState.DONE}
 
 
-def _tag_to_json(tag: Tuple[Any, int]) -> List[Any]:
-    return [list(tag[0]), int(tag[1])]
+class _Vehicles:
+    """:data:`VEHICLE` rows of every vehicle off its defaults, by dense index.
 
+    A vehicle a takeover moved off its constructed pair also carries its
+    :data:`RESIDENCY`: the communication graph was computed from the
+    position it held *at rehoming time* and cannot be re-derived from the
+    drifted current position, so it is serialized verbatim.
+    """
 
-def _tag_from_json(raw: Any) -> Tuple[Any, int]:
-    return (tuple(raw[0]), int(raw[1]))
+    def capture(self, fleet: Fleet) -> Dict[str, Any]:
+        flat = fleet.flat
+        original = [flat.pair_keys[pair_id] for pair_id in flat.vehicle_pair.tolist()]
+        out: Dict[str, Any] = {}
+        for index, identity in enumerate(flat.identities):
+            vehicle = fleet.vehicles[identity]
+            entry = VEHICLE.changed(vehicle)
+            if vehicle.pair_key != original[index]:
+                entry["residency"] = RESIDENCY.capture(vehicle)
+            if entry:
+                out[str(index)] = entry
+        return out
+
+    def restore(self, fleet: Fleet, entries: Dict[str, Any]) -> None:
+        flat = fleet.flat
+        unknown = entries.keys() - {str(index) for index in range(len(flat.identities))}
+        if unknown:
+            raise ValueError(f"unknown checkpoint vehicle index(es): {sorted(unknown)}")
+        flat.engaged.clear()
+        for index, identity in enumerate(flat.identities):
+            vehicle = fleet.vehicles[identity]
+            # Object mirrors of the registry arrays restored above, written
+            # directly: the status dataclass validates *transitions*, not
+            # states, and the arrays must not be mirrored back twice.
+            vehicle.status.working = _WORKING_BY_CODE[flat.state[index]]
+            vehicle.broken = bool(flat.broken[index])
+            watch = flat.watch[index]
+            monitored = vehicle._monitored_pair = flat.pair_keys[watch] if watch >= 0 else None
+            entry = entries.get(str(index), {})
+            if "residency" in entry:
+                entry = dict(entry)
+                RESIDENCY.restore(vehicle, entry.pop("residency"))
+                vehicle.coloring = fleet.colorings[vehicle.cube_index]
+            VEHICLE.restore(vehicle, entry, f"fleet.vehicles[{index}]")
+            # The engaged set and the watch-heard mirror are not serialized;
+            # both are pure functions of the restored vehicle.
+            if (
+                vehicle._engaged_tag is not None
+                or vehicle.escalations
+                or vehicle._engaged_rounds
+                or vehicle._engaged_tag_seen is not None
+            ):
+                flat.engaged.add(index)
+            flat.watch_heard[index] = (
+                WATCH_NONE if monitored is None else vehicle.last_heard.get(monitored, WATCH_NEVER)
+            )
 
 
 # --------------------------------------------------------------------- #
-# fleet state
+# the tables
 # --------------------------------------------------------------------- #
 
+RESIDENCY = Table(
+    "residency",
+    Row("cube_index", codec=POINT),
+    Row("neighbors", codec=list_of(POINT)),
+    Row("cube_peers", codec=list_of(POINT)),
+)
 
-def _vehicle_entry(fleet: Fleet, index: int, vehicle) -> Dict[str, Any]:
-    """The sparse protocol-state record of one vehicle (empty = untouched)."""
-    entry: Dict[str, Any] = {}
-    if vehicle.jobs_served:
-        entry["jobs_served"] = vehicle.jobs_served
-    if vehicle.engaged_tag is not None:
-        entry["engaged_tag"] = _tag_to_json(vehicle.engaged_tag)
-    if vehicle.last_tag is not None:
-        entry["last_tag"] = _tag_to_json(vehicle.last_tag)
-    if vehicle.parent is not None:
-        entry["parent"] = list(vehicle.parent)
-    if vehicle.child is not None:
-        entry["child"] = list(vehicle.child)
-    if vehicle.deficit:
-        entry["deficit"] = vehicle.deficit
-    if vehicle.initiated:
-        entry["initiated"] = [
-            [_tag_to_json(tag), [list(info["destination"]), list(info["pair_key"])]]
-            for tag, info in vehicle.initiated.items()
-        ]
-    if vehicle.last_heard:
-        entry["last_heard"] = [
-            [list(pair), round_id] for pair, round_id in vehicle.last_heard.items()
-        ]
-    if vehicle._engaged_tag_seen is not None:
-        entry["engaged_tag_seen"] = _tag_to_json(vehicle._engaged_tag_seen)
-    if vehicle._engaged_rounds:
-        entry["engaged_rounds"] = vehicle._engaged_rounds
-    if vehicle.adopted_pairs:
-        entry["adopted_pairs"] = [list(p) for p in vehicle.adopted_pairs]
-    if vehicle.escalations:
-        entry["escalations"] = [
-            [
-                _tag_to_json(tag),
-                {
-                    "rings": [[list(m) for m in ring] for ring in esc["rings"]],
-                    "level": esc["level"],
-                    "pending": esc["pending"],
-                    "candidates": [
-                        [bool(spare), list(identity), list(pos) if pos else None]
-                        for spare, identity, pos in esc["candidates"]
-                    ],
-                    "rounds": esc["rounds"],
-                },
-            ]
-            for tag, esc in vehicle.escalations.items()
-        ]
-    if vehicle.status.transfer != TransferState.WAITING:
-        entry["transfer"] = vehicle.status.transfer.value
-    if vehicle._gossip_counter:
-        entry["gossip_counter"] = vehicle._gossip_counter
-    if vehicle.gossip_reports:
-        entry["gossip_reports"] = [
-            [
-                list(pair),
-                [[list(reporter), round_id] for reporter, round_id in sorted(reporters.items())],
-            ]
-            for pair, reporters in sorted(vehicle.gossip_reports.items())
-        ]
-    if vehicle.pending_suspicions:
-        entry["pending_suspicions"] = [
-            [
-                list(pair),
-                {
-                    "granted": [list(g) for g in sorted(pending["granted"])],
-                    "round": pending["round"],
-                },
-            ]
-            for pair, pending in sorted(vehicle.pending_suspicions.items())
-        ]
-    original_pair = fleet.flat.pair_keys[fleet.flat.vehicle_pair[index]]
-    if vehicle.pair_key != original_pair:
-        # Takeovers may have rehomed the vehicle; its communication graph
-        # was computed from the position it held *at rehoming time* and
-        # cannot be re-derived from the drifted current position, so the
-        # residency is serialized verbatim.
-        entry["residency"] = {
-            "cube_index": list(vehicle.cube_index),
-            "neighbors": [list(n) for n in vehicle.neighbors],
-            "cube_peers": [list(p) for p in vehicle.cube_peers],
-        }
-    return entry
+#: Per-vehicle protocol state, sparse against the constructed defaults
+#: (plus ``residency`` for rehomed vehicles, see :class:`_Vehicles`).
+VEHICLE = Table(
+    "vehicle",
+    Row("jobs_served", default=0),
+    Row("engaged_tag", "_engaged_tag", TAG, default=None),
+    Row("last_tag", codec=TAG, default=None),
+    Row("parent", codec=POINT, default=None),
+    Row("child", codec=POINT, default=None),
+    Row("deficit", default=0),
+    Row(
+        "initiated",
+        codec=items(TAG, record(positional=True, destination=POINT, pair_key=POINT)),
+        default={},
+    ),
+    Row("last_heard", codec=items(POINT, RAW), default={}),
+    Row("engaged_tag_seen", "_engaged_tag_seen", TAG, default=None),
+    Row("engaged_rounds", "_engaged_rounds", default=0),
+    Row("adopted_pairs", codec=list_of(POINT), default=[]),
+    Row(
+        "escalations",
+        codec=items(
+            TAG,
+            record(
+                rings=list_of(list_of(POINT)),
+                level=RAW,
+                pending=RAW,
+                candidates=list_of(tuple_of(Codec(bool, _same), POINT, OPT_POINT)),
+                rounds=RAW,
+            ),
+        ),
+        default={},
+    ),
+    Row(
+        "transfer",
+        "status.transfer",
+        Codec(attrgetter("value"), TransferState),
+        default=TransferState.WAITING,
+    ),
+    Row("gossip_counter", "_gossip_counter", default=0),
+    Row(
+        "gossip_reports",
+        codec=items(POINT, items(POINT, RAW, order=True), order=True),
+        default={},
+    ),
+    Row(
+        "pending_suspicions",
+        codec=items(POINT, record(granted=set_of(POINT), round=RAW), order=True),
+        default={},
+    ),
+)
 
+#: Run counters; optional, so a snapshot predating a counter still loads.
+FLEET_STATS = Table("fleet.stats", *(Row(f.name, optional=True) for f in fields(FleetStats)))
 
-def _fleet_state(fleet: Fleet) -> Dict[str, Any]:
-    flat = fleet.flat
-    vehicles: Dict[str, Any] = {}
-    pair_live: List[int] = []
-    for index, identity in enumerate(flat.identities):
-        vehicle = fleet.vehicles[identity]
-        pair_live.append(
-            flat.pair_id_of[vehicle.pair_key] if vehicle.pair_key is not None else -1
-        )
-        entry = _vehicle_entry(fleet, index, vehicle)
-        if entry:
-            vehicles[str(index)] = entry
-    return {
-        "travel": list(flat.travel),
-        "service": list(flat.service),
-        "state": list(flat.state),
-        "broken": list(flat.broken),
-        "watch": list(flat.watch),
-        "positions": [list(p) for p in flat.positions],
-        "pair_live": pair_live,
-        "registry": [
-            [list(pair), list(identity)] for pair, identity in sorted(fleet.registry.items())
-        ],
-        "cube_members": [
-            [list(index), [list(m) for m in members]]
-            for index, members in sorted(fleet._cube_members.items())
-        ],
-        "stats": dataclasses.asdict(fleet.stats),
-        "computation_round": fleet._computation_round,
-        "heartbeat_round": fleet._heartbeat_round,
-        "monitoring_baseline": fleet.monitoring_baseline,
-        "crash_rounds": [
-            [list(pair), round_id] for pair, round_id in sorted(fleet._crash_rounds.items())
-        ],
-        "detection_digest": fleet.detection_digest.to_json(),
-        "vehicles": vehicles,
-    }
+FLEET = Table(
+    "fleet",
+    Row("travel", "flat.travel", array_of("d")),
+    Row("service", "flat.service", array_of("d")),
+    Row("state", "flat.state", array_of("b")),
+    Row("broken", "flat.broken", array_of("b")),
+    Row("watch", "flat.watch", array_of("q")),
+    Row("positions", "flat.positions", list_of(POINT)),
+    Row("pair_live", "", _PairLive()),
+    Row("vehicles", "", _Vehicles()),
+    Row("registry", codec=items(POINT, POINT, order=True)),
+    Row("cube_members", "_cube_members", items(POINT, list_of(POINT), order=True)),
+    Row("stats", codec=FLEET_STATS),
+    Row("computation_round", "_computation_round"),
+    Row("heartbeat_round", "_heartbeat_round"),
+    Row("monitoring_baseline"),
+    Row("crash_rounds", "_crash_rounds", items(POINT, RAW, order=True), optional=True),
+    Row("detection_digest", codec=DIGEST, optional=True),
+)
 
+EDGE_COUNTS = Table(
+    "transport.streams",
+    Row("edge_counts", "_edge_counts", items(EDGE, RAW, order=lambda item: repr(item[0]))),
+)
 
-def restore_fleet_state(fleet: Fleet, payload: Dict[str, Any]) -> None:
-    """Overlay a captured fleet state onto a freshly constructed fleet."""
-    from array import array
+#: Every transport in the chain; which rows apply depends on the class.
+TRANSPORT = Table(
+    "transport",
+    Row("kind", check=True),
+    Row("messages_scheduled"),
+    Row("messages_dropped"),
+    Row("messages_corrupted"),
+    Row("rng", "_rng.bit_generator.state", optional=True),
+    Row("retransmissions", optional=True),
+    Row("attempts_lost", optional=True),
+    Row("streams", "", _Via(_edge_stream_owner, lambda: EDGE_COUNTS), optional=True),
+    Row("inner", codec=_Via(_same, lambda: TRANSPORT), optional=True),
+)
 
-    flat = fleet.flat
-    flat.travel[:] = array("d", payload["travel"])
-    flat.service[:] = array("d", payload["service"])
-    flat.state[:] = array("b", payload["state"])
-    flat.broken[:] = array("b", payload["broken"])
-    flat.watch[:] = array("q", payload["watch"])
-    flat.positions[:] = [tuple(p) for p in payload["positions"]]
+NETWORK = Table(
+    "network", Row("messages_sent"), Row("messages_delivered"), Row("messages_dropped")
+)
 
-    pair_live = payload["pair_live"]
-    for index, identity in enumerate(flat.identities):
-        vehicle = fleet.vehicles[identity]
-        # Direct field writes: the status dataclass validates *transitions*,
-        # not states, and the registry arrays were already restored above
-        # (the observer that mirrors them must not fire twice).
-        vehicle.status.working = _WORKING_BY_CODE[flat.state[index]]
-        vehicle.status.transfer = TransferState.WAITING
-        vehicle.broken = bool(flat.broken[index])
-        vehicle.pair_key = (
-            flat.pair_keys[pair_live[index]] if pair_live[index] >= 0 else None
-        )
-        vehicle._monitored_pair = (
-            flat.pair_keys[flat.watch[index]] if flat.watch[index] >= 0 else None
-        )
-        vehicle.jobs_served = 0
-        vehicle.engaged_tag = None
-        vehicle.last_tag = None
-        vehicle.parent = None
-        vehicle.child = None
-        vehicle.deficit = 0
-        vehicle.initiated = {}
-        vehicle.last_heard = {}
-        vehicle._engaged_tag_seen = None
-        vehicle._engaged_rounds = 0
-        vehicle.adopted_pairs = []
-        vehicle.escalations = {}
-        vehicle._gossip_counter = 0
-        vehicle.gossip_reports = {}
-        vehicle.pending_suspicions = {}
+FAILURE_PLAN = Table(
+    "failure_plan",
+    Row("crashed", codec=set_of(POINT)),
+    Row("initiation_suppressed", codec=set_of(POINT)),
+    Row("dropped_count"),
+    Row("partition_dropped_count"),
+    Row("clock"),
+    Row("byzantine_watchers", codec=set_of(POINT), optional=True),
+)
 
-    for index_str, entry in payload["vehicles"].items():
-        vehicle = fleet.vehicles[flat.identities[int(index_str)]]
-        vehicle.jobs_served = entry.get("jobs_served", 0)
-        if "engaged_tag" in entry:
-            vehicle.engaged_tag = _tag_from_json(entry["engaged_tag"])
-        if "last_tag" in entry:
-            vehicle.last_tag = _tag_from_json(entry["last_tag"])
-        if "parent" in entry:
-            vehicle.parent = tuple(entry["parent"])
-        if "child" in entry:
-            vehicle.child = tuple(entry["child"])
-        vehicle.deficit = entry.get("deficit", 0)
-        if "initiated" in entry:
-            vehicle.initiated = {
-                _tag_from_json(tag): {
-                    "destination": tuple(info[0]),
-                    "pair_key": tuple(info[1]),
-                }
-                for tag, info in entry["initiated"]
-            }
-        if "last_heard" in entry:
-            vehicle.last_heard = {
-                tuple(pair): round_id for pair, round_id in entry["last_heard"]
-            }
-        if "engaged_tag_seen" in entry:
-            vehicle._engaged_tag_seen = _tag_from_json(entry["engaged_tag_seen"])
-        vehicle._engaged_rounds = entry.get("engaged_rounds", 0)
-        if "adopted_pairs" in entry:
-            vehicle.adopted_pairs = [tuple(p) for p in entry["adopted_pairs"]]
-        if "escalations" in entry:
-            vehicle.escalations = {
-                _tag_from_json(tag): {
-                    "rings": [[tuple(m) for m in ring] for ring in esc["rings"]],
-                    "level": esc["level"],
-                    "pending": esc["pending"],
-                    "candidates": [
-                        (spare, tuple(identity), tuple(pos) if pos else None)
-                        for spare, identity, pos in esc["candidates"]
-                    ],
-                    "rounds": esc["rounds"],
-                }
-                for tag, esc in entry["escalations"]
-            }
-        if "transfer" in entry:
-            vehicle.status.transfer = TransferState(entry["transfer"])
-        vehicle._gossip_counter = entry.get("gossip_counter", 0)
-        if "gossip_reports" in entry:
-            vehicle.gossip_reports = {
-                tuple(pair): {
-                    tuple(reporter): round_id for reporter, round_id in reporters
-                }
-                for pair, reporters in entry["gossip_reports"]
-            }
-        if "pending_suspicions" in entry:
-            vehicle.pending_suspicions = {
-                tuple(pair): {
-                    "granted": {tuple(g) for g in pending["granted"]},
-                    "round": pending["round"],
-                }
-                for pair, pending in entry["pending_suspicions"]
-            }
-        if "residency" in entry:
-            residency = entry["residency"]
-            vehicle.cube_index = tuple(residency["cube_index"])
-            vehicle.coloring = fleet.colorings[vehicle.cube_index]
-            vehicle.neighbors = [tuple(n) for n in residency["neighbors"]]
-            vehicle.cube_peers = [tuple(p) for p in residency["cube_peers"]]
+METRICS = Table(
+    "metrics",
+    Row("window_index"),
+    Row("jobs_arrived"),
+    Row("jobs_served"),
+    Row("window_arrivals", "_window_arrivals"),
+    Row("window_served", "_window_served"),
+    Row("window_start_time", "_window_start_time"),
+    Row("baseline", "_baseline", Codec(dict, dict)),
+    Row("window_digest", "_window_digest", DIGEST),
+    Row("run_digest", codec=DIGEST),
+)
 
-    # The engaged set and the watch-heard mirror are not serialized (the
-    # snapshot format predates them); both are pure functions of the
-    # restored per-vehicle state, so rebuild them deterministically.
-    flat.engaged.clear()
-    for index, identity in enumerate(flat.identities):
-        vehicle = fleet.vehicles[identity]
-        if (
-            vehicle._engaged_tag is not None
-            or vehicle.escalations
-            or vehicle._engaged_rounds
-            or vehicle._engaged_tag_seen is not None
-        ):
-            flat.engaged.add(index)
-        monitored = vehicle._monitored_pair
-        flat.watch_heard[index] = (
-            WATCH_NONE
-            if monitored is None
-            else vehicle.last_heard.get(monitored, WATCH_NEVER)
-        )
+#: The queue statistics, overwritten once the resumed driver re-primes.
+EVENT_STATS = Table("event_stats", *(Row(f.name) for f in fields(EventStats)))
 
-    fleet.registry.clear()
-    fleet.registry.update(
-        (tuple(pair), tuple(identity)) for pair, identity in payload["registry"]
+JOBS = Table("jobs", Row("consumed"), Row("dispatched"), Row("served"))
+PENDING = list_of(
+    Codec(
+        lambda item: [item[0], item[1].time, list(item[1].position), item[1].energy],
+        lambda raw: (raw[0], Job(time=raw[1], position=tuple(raw[2]), energy=raw[3])),
     )
-    fleet._cube_members.clear()
-    fleet._cube_members.update(
-        (tuple(index), [tuple(m) for m in members])
-        for index, members in payload["cube_members"]
+)
+CHURN = set_of(
+    Codec(
+        lambda spec: [spec.time, list(spec.vertex), spec.action],
+        lambda raw: ChurnSpec(time=raw[0], vertex=tuple(raw[1]), action=raw[2]),
     )
-    for name, value in payload["stats"].items():
-        setattr(fleet.stats, name, value)
-    fleet._computation_round = payload["computation_round"]
-    fleet._heartbeat_round = payload["heartbeat_round"]
-    fleet.monitoring_baseline = payload["monitoring_baseline"]
-    fleet._crash_rounds = {
-        tuple(pair): round_id for pair, round_id in payload.get("crash_rounds", ())
-    }
-    if "detection_digest" in payload:
-        from repro.service.metrics import LatencyDigest
+)
 
-        fleet.detection_digest = LatencyDigest.from_json(payload["detection_digest"])
+#: The run objects, over a ``SimpleNamespace(fleet=, recorder=)``.
+SNAPSHOT = Table(
+    "checkpoint",
+    Row("network", "fleet.network", NETWORK),
+    Row("transport", "fleet.network.transport", TRANSPORT),
+    Row("failure_plan", "fleet.failure_plan", FAILURE_PLAN),
+    Row("fleet", codec=FLEET),
+    Row("metrics", "recorder", METRICS, optional=True),
+)
+
+#: Snapshot keys :func:`capture_checkpoint` writes outside :data:`SNAPSHOT`.
+_HEADER = frozenset(
+    ("schema", "version", "config", "clock", "jobs", "pending_arrivals", "churn_applied",
+     "event_stats", "rng")
+)
 
 
 def fleet_digest(fleet: Fleet) -> str:
@@ -358,62 +554,8 @@ def fleet_digest(fleet: Fleet) -> str:
     Two runs have equal digests iff their physical *and* protocol state is
     byte-identical -- the strongest equality the differential suite checks.
     """
-    text = json.dumps(_fleet_state(fleet), sort_keys=True, separators=(",", ":"))
+    text = json.dumps(FLEET.capture(fleet), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-# --------------------------------------------------------------------- #
-# transport / rng state
-# --------------------------------------------------------------------- #
-
-
-def _transport_state(transport) -> Optional[Dict[str, Any]]:
-    if transport is None:
-        return None
-    payload: Dict[str, Any] = {
-        "kind": transport.kind,
-        "messages_scheduled": transport.messages_scheduled,
-        "messages_dropped": transport.messages_dropped,
-        "messages_corrupted": transport.messages_corrupted,
-    }
-    rng = getattr(transport, "_rng", None)
-    if isinstance(rng, np.random.Generator):
-        payload["rng"] = rng.bit_generator.state
-    for name in ("retransmissions", "attempts_lost"):
-        if hasattr(transport, name):
-            payload[name] = getattr(transport, name)
-    streams = transport.stream_state() if hasattr(transport, "stream_state") else None
-    if streams is not None:
-        payload["streams"] = streams
-    inner = getattr(transport, "inner", None)
-    if inner is not None:
-        payload["inner"] = _transport_state(inner)
-    return payload
-
-
-def restore_transport_state(transport, payload: Optional[Dict[str, Any]]) -> None:
-    """Overlay captured transport counters/streams onto a fresh transport."""
-    if transport is None or payload is None:
-        return
-    if payload["kind"] != transport.kind:
-        raise ValueError(
-            f"snapshot transport kind {payload['kind']!r} does not match "
-            f"the rebuilt {transport.kind!r}"
-        )
-    transport.messages_scheduled = payload["messages_scheduled"]
-    transport.messages_dropped = payload["messages_dropped"]
-    transport.messages_corrupted = payload["messages_corrupted"]
-    rng = getattr(transport, "_rng", None)
-    if isinstance(rng, np.random.Generator) and "rng" in payload:
-        rng.bit_generator.state = payload["rng"]
-    for name in ("retransmissions", "attempts_lost"):
-        if name in payload and hasattr(transport, name):
-            setattr(transport, name, payload[name])
-    if "streams" in payload and hasattr(transport, "restore_stream_state"):
-        transport.restore_stream_state(payload["streams"])
-    inner = getattr(transport, "inner", None)
-    if inner is not None:
-        restore_transport_state(inner, payload.get("inner"))
 
 
 # --------------------------------------------------------------------- #
@@ -425,63 +567,53 @@ def capture_checkpoint(
     config,
     driver,
     *,
-    rng: Optional[np.random.Generator] = None,
+    rng=None,
     recorder=None,
 ) -> Dict[str, Any]:
-    """Snapshot a service run at a clean boundary (see module docstring)."""
+    """Snapshot a service run at a clean boundary (see module docstring).
+
+    ``rng`` is the run's shared generator (``None`` when unseeded).
+    """
     fleet = driver.fleet
-    simulator = fleet.simulator
-    plan = fleet.failure_plan
-    stats = simulator.queue.stats
     payload: Dict[str, Any] = {
         "schema": CHECKPOINT_SCHEMA,
         "version": CHECKPOINT_VERSION,
         "config": config.to_json(),
-        "clock": simulator.now,
-        "jobs": {
-            "consumed": driver.consumed,
-            "dispatched": driver.dispatched,
-            "served": driver.served,
-        },
-        "pending_arrivals": [
-            [index, job.time, list(job.position), job.energy]
-            for index, job in driver.pending_arrivals()
-        ],
-        "churn_applied": [
-            [spec.time, list(spec.vertex), spec.action]
-            for spec in sorted(
-                driver.churn_applied, key=lambda c: (c.time, c.vertex, c.action)
-            )
-        ],
-        "event_stats": {
-            "scheduled": stats.scheduled,
-            "executed": stats.executed,
-            "cancelled_skipped": stats.cancelled_skipped,
-        },
-        "network": {
-            "messages_sent": fleet.network.messages_sent,
-            "messages_delivered": fleet.network.messages_delivered,
-            "messages_dropped": fleet.network.messages_dropped,
-        },
-        "transport": _transport_state(fleet.network.transport),
+        "clock": fleet.simulator.now,
+        "jobs": JOBS.capture(driver),
+        "pending_arrivals": PENDING.encode(driver.pending_arrivals()),
+        "churn_applied": CHURN.encode(driver.churn_applied),
+        "event_stats": EVENT_STATS.capture(fleet.simulator.queue.stats),
         "rng": rng.bit_generator.state if rng is not None else None,
-        "failure_plan": {
-            "crashed": sorted([list(p) for p in plan.crashed]),
-            "initiation_suppressed": sorted(
-                [list(p) for p in plan.initiation_suppressed]
-            ),
-            "dropped_count": plan.dropped_count,
-            "partition_dropped_count": plan.partition_dropped_count,
-            "clock": plan.clock,
-            "byzantine_watchers": sorted(
-                [list(p) for p in plan.byzantine_watchers]
-            ),
-        },
-        "fleet": _fleet_state(fleet),
     }
-    if recorder is not None:
-        payload["metrics"] = recorder.state_to_json()
+    payload.update(SNAPSHOT.capture(SimpleNamespace(fleet=fleet, recorder=recorder)))
     return payload
+
+
+def restore_checkpoint(
+    snapshot: Dict[str, Any], fleet: Fleet, *, rng=None, recorder=None
+) -> SimpleNamespace:
+    """Overlay a loaded snapshot onto a freshly provisioned run.
+
+    Returns where the streaming driver resumes: ``consumed``,
+    ``dispatched`` and ``served`` job counts, the ``pending`` look-ahead
+    as ``(index, Job)`` pairs, and the ``churn_applied`` set.  The event
+    statistics (:data:`EVENT_STATS`) are restored by the caller once the
+    driver has re-primed its queue.
+    """
+    fleet.simulator.clock.advance(snapshot["clock"])
+    SNAPSHOT.restore(
+        SimpleNamespace(fleet=fleet, recorder=recorder),
+        {key: value for key, value in snapshot.items() if key not in _HEADER},
+    )
+    if rng is not None and snapshot["rng"] is not None:
+        rng.bit_generator.state = snapshot["rng"]
+    start = SimpleNamespace(
+        pending=PENDING.decode(snapshot["pending_arrivals"]),
+        churn_applied=CHURN.decode(snapshot["churn_applied"]),
+    )
+    JOBS.restore(start, snapshot["jobs"])
+    return start
 
 
 def save_checkpoint(payload: Dict[str, Any], path) -> None:
@@ -535,19 +667,3 @@ def load_checkpoint(source) -> Dict[str, Any]:
             f"(this build reads version {CHECKPOINT_VERSION})"
         )
     return payload
-
-
-def pending_jobs_from_json(payload: Dict[str, Any]) -> List[Tuple[int, Job]]:
-    """The snapshot's scheduled-but-not-dispatched arrivals, as ``(index, Job)``."""
-    return [
-        (index, Job(time=time, position=tuple(position), energy=energy))
-        for index, time, position, energy in payload["pending_arrivals"]
-    ]
-
-
-def churn_applied_from_json(payload: Dict[str, Any]) -> set:
-    """The already-applied churn specs recorded in a snapshot."""
-    return {
-        ChurnSpec(time=time, vertex=tuple(vertex), action=action)
-        for time, vertex, action in payload["churn_applied"]
-    }

@@ -31,6 +31,7 @@ import itertools
 import json
 import logging
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Any, Dict, Iterable, Optional, TextIO, Union
 
 import numpy as np
@@ -41,15 +42,13 @@ from repro.core.online import provision_fleet
 from repro.distsim.sharding import ShardMailbox, ShardMonitor, ShardPlan
 from repro.distsim.transport import build_transport
 from repro.service.checkpoint import (
+    EVENT_STATS,
     capture_checkpoint,
-    churn_applied_from_json,
     fleet_digest,
     load_checkpoint,
-    save_rotated_checkpoint,
-    pending_jobs_from_json,
-    restore_fleet_state,
-    restore_transport_state,
+    restore_checkpoint,
     save_checkpoint,
+    save_rotated_checkpoint,
 )
 from repro.service.metrics import MetricsRecorder
 from repro.service.state_store import LiveStateStore, build_state
@@ -196,38 +195,10 @@ def run_service(
     )
     store = LiveStateStore(state_path, log_path)
 
-    start_consumed = 0
-    pending: Any = ()
-    churn_applied = None
-    served_before = 0
+    start = SimpleNamespace(consumed=0, served=0, pending=(), churn_applied=None)
     if resumed:
-        fleet.simulator.clock.advance(snapshot["clock"])
-        restore_fleet_state(fleet, snapshot["fleet"])
-        restore_transport_state(fleet.network.transport, snapshot["transport"])
-        network = snapshot["network"]
-        fleet.network.messages_sent = network["messages_sent"]
-        fleet.network.messages_delivered = network["messages_delivered"]
-        fleet.network.messages_dropped = network["messages_dropped"]
-        if rng is not None and snapshot["rng"] is not None:
-            rng.bit_generator.state = snapshot["rng"]
-        plan_state = snapshot["failure_plan"]
-        plan.crashed = {tuple(p) for p in plan_state["crashed"]}
-        plan.initiation_suppressed = {
-            tuple(p) for p in plan_state["initiation_suppressed"]
-        }
-        plan.dropped_count = plan_state["dropped_count"]
-        plan.partition_dropped_count = plan_state["partition_dropped_count"]
-        plan.clock = plan_state["clock"]
-        plan.byzantine_watchers = {
-            tuple(p) for p in plan_state.get("byzantine_watchers", ())
-        }
-        if "metrics" in snapshot:
-            recorder.restore_state(snapshot["metrics"])
-        start_consumed = snapshot["jobs"]["consumed"]
-        served_before = snapshot["jobs"]["served"]
-        pending = pending_jobs_from_json(snapshot)
-        churn_applied = churn_applied_from_json(snapshot)
-        jobs = itertools.islice(iter(jobs), start_consumed, None)
+        start = restore_checkpoint(snapshot, fleet, rng=rng, recorder=recorder)
+        jobs = itertools.islice(iter(jobs), start.consumed, None)
 
     progress = {"checkpoints": 0, "checkpoint_due": False, "barriers": 0}
 
@@ -297,11 +268,7 @@ def run_service(
         # and pending arrivals; overwriting here (before the look-ahead
         # refills) makes every subsequent count accrue exactly as in the
         # uninterrupted run.
-        stats = fleet.simulator.queue.stats
-        captured = snapshot["event_stats"]
-        stats.scheduled = captured["scheduled"]
-        stats.executed = captured["executed"]
-        stats.cancelled_skipped = captured["cancelled_skipped"]
+        EVENT_STATS.restore(fleet.simulator.queue.stats, snapshot["event_stats"])
 
     driver = StreamDriver(
         fleet,
@@ -316,11 +283,11 @@ def run_service(
         on_served=recorder.job_served,
         control=control,
         on_primed=on_primed if resumed else None,
-        start_consumed=start_consumed,
-        pending=pending,
-        churn_applied=churn_applied,
+        start_consumed=start.consumed,
+        pending=start.pending,
+        churn_applied=start.churn_applied,
     )
-    driver.served = served_before
+    driver.served = start.served
 
     interrupted = False
     try:

@@ -275,31 +275,3 @@ class MetricsRecorder:
         }
         rollup.update(counters)
         return rollup
-
-    # ------------------------------------------------------------------ #
-    # checkpoint support
-    # ------------------------------------------------------------------ #
-
-    def state_to_json(self) -> Dict[str, Any]:
-        return {
-            "window_index": self.window_index,
-            "jobs_arrived": self.jobs_arrived,
-            "jobs_served": self.jobs_served,
-            "window_arrivals": self._window_arrivals,
-            "window_served": self._window_served,
-            "window_start_time": self._window_start_time,
-            "baseline": self._baseline,
-            "window_digest": self._window_digest.to_json(),
-            "run_digest": self.run_digest.to_json(),
-        }
-
-    def restore_state(self, payload: Dict[str, Any]) -> None:
-        self.window_index = payload["window_index"]
-        self.jobs_arrived = payload["jobs_arrived"]
-        self.jobs_served = payload["jobs_served"]
-        self._window_arrivals = payload["window_arrivals"]
-        self._window_served = payload["window_served"]
-        self._window_start_time = payload["window_start_time"]
-        self._baseline = dict(payload["baseline"])
-        self._window_digest = LatencyDigest.from_json(payload["window_digest"])
-        self.run_digest = LatencyDigest.from_json(payload["run_digest"])

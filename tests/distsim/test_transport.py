@@ -20,6 +20,7 @@ from repro.distsim.transport import (
     available_transports,
     build_transport,
 )
+from repro.service.checkpoint import TRANSPORT
 from repro.vehicles.messages import MoveMessage, QueryMessage, ReplyMessage
 
 
@@ -461,20 +462,24 @@ class TestEdgeKeyedStreams:
         corrupting = TransportSpec("corrupting", {"rate": 0.5, "stream": "edge"})
         assert corrupting.build().shardable
 
+    # Stream state is captured and restored by the checkpoint module's
+    # transport table (repro.service.checkpoint.TRANSPORT).
+
     def test_stream_state_round_trip(self):
         transport = LossyTransport(loss=0.4, seed=9, stream="edge")
         prefix = [(edge, 5) for edge in self.EDGES]
         self._decisions(transport, prefix)
-        state = json.loads(json.dumps(transport.stream_state()))
+        state = json.loads(json.dumps(TRANSPORT.capture(transport)))
+        assert state["streams"]["edge_counts"]
 
         resumed = LossyTransport(loss=0.4, seed=9, stream="edge")
-        resumed.restore_stream_state(state)
+        TRANSPORT.restore(resumed, state)
         tail = [(edge, 5) for edge in self.EDGES]
         assert self._decisions(resumed, tail) == self._decisions(transport, tail)
 
     def test_global_stream_state_is_none(self):
-        assert LossyTransport().stream_state() is None
-        assert CorruptingTransport().stream_state() is None
+        assert "streams" not in TRANSPORT.capture(LossyTransport())
+        assert "streams" not in TRANSPORT.capture(CorruptingTransport())
 
     def test_corrupting_edge_stream_interleaving_independent(self):
         tag = ((0, 0), 1)
@@ -498,6 +503,6 @@ class TestEdgeKeyedStreams:
         transport = CorruptingTransport(rate=1.0, seed=4, stream="edge")
         transport.bind(Simulator())
         transport.mutate("a", "b", "heartbeat")
-        assert transport.stream_state() == {"edge_counts": []}
+        assert TRANSPORT.capture(transport)["streams"] == {"edge_counts": []}
         transport.mutate("a", "b", ReplyMessage(((0, 0), 1), (0, 0), True))
-        assert transport.stream_state() == {"edge_counts": [[["a", "b"], 1]]}
+        assert TRANSPORT.capture(transport)["streams"] == {"edge_counts": [[["a", "b"], 1]]}
