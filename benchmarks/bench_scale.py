@@ -15,8 +15,10 @@ benchmark is their regression gate.  For each scale it measures
 * **sharded events/sec** (``10^5`` tier only): the same run fanned out
   over ``--shards`` worker processes via ``run_online(..., shards=N)``.
   The scale-up family is shard-safe (reliable transport, no failures), so
-  the run takes the parallel isolated path: each worker owns a contiguous
-  block of cubes and never builds the global fleet.  Per-shard wall-clock
+  the run goes to the multi-process shard engine and is labeled
+  ``"parallel"`` (asserted: any other mode aborts the benchmark): each
+  worker owns a contiguous block of cubes and never builds the global
+  fleet.  Per-shard wall-clock
   timings ride along, plus a *critical path* figure (coordinator time +
   slowest shard) -- what the wall becomes once the host has at least as
   many cores as shards; on fewer cores the pool serializes workers and
@@ -147,6 +149,11 @@ def measure_throughput(demand, seed: int = 0, shards: int = 1) -> dict:
         "run_seconds": elapsed,
     }
     if shards > 1:
+        if result.shard_mode != "parallel":
+            raise SystemExit(
+                f"sharded scale benchmark ran in mode {result.shard_mode!r} "
+                f"({result.shard_mode_reason}); expected parallel"
+            )
         entry["shards"] = shards
         timings = dict(result.shard_timings)
         entry["shard_seconds"] = {

@@ -54,11 +54,7 @@ from repro.core.offline import online_upper_bound_factor
 from repro.core.omega import demand_cube_maxima, omega_c, omega_star_cubes
 from repro.core.plan import plan_window
 from repro.distsim.failures import ChurnSpec, FailurePlan, apply_churn
-from repro.distsim.parallel_lockstep import (
-    merge_parallel_lockstep_results,
-    parallel_lockstep_eligibility,
-    run_parallel_lockstep,
-)
+from repro.distsim.parallel_lockstep import parallel_lockstep_eligibility
 from repro.distsim.sharding import (
     ShardMailbox,
     ShardMonitor,
@@ -73,6 +69,13 @@ from repro.distsim.transport import Transport, TransportSpec, build_transport
 from repro.grid.cubes import CubeGrid, CubeHierarchy
 from repro.grid.lattice import Point
 from repro.vehicles.fleet import Fleet, FleetConfig
+
+# One pool and one merge serve both multi-process labels.  The benchmark
+# ledger (perfbench/bench_ledger.py) times them per mode by patching these
+# module names, so the coordinator looks the pair up here by mode at call
+# time; the aliases can go once the ledger keys both modes by one name.
+run_parallel_lockstep = run_parallel
+merge_parallel_lockstep_results = merge_shard_results
 
 __all__ = ["OnlineResult", "run_online", "provision_fleet", "ONLINE_ENGINES"]
 
@@ -165,15 +168,17 @@ class OnlineResult:
     #: Shards the run was partitioned into (1 = single-process).
     shards: int = 1
     #: Logical sends that crossed a shard boundary (always 0 unsharded, and
-    #: 0 in the parallel isolated mode, which requires zero boundary traffic).
+    #: 0 in the multi-process runs, which require zero boundary traffic).
     cross_shard_messages: int = 0
-    #: Lockstep window barriers the coordinator advanced through.
+    #: Lockstep window barriers crossed (multi-process runs: one per
+    #: non-empty shard, each worker free-running in a single window).
     window_barriers: int = 0
-    #: Wall-clock seconds per worker shard (multi-process modes only).
+    #: Wall-clock seconds per worker shard (multi-process runs only).
     shard_timings: Dict[int, float] = field(default_factory=dict)
-    #: Which sharded execution mode ran: ``""`` (unsharded), ``"parallel"``
-    #: (PR 8 isolated workers), ``"parallel-lockstep"`` (multi-process
-    #: failure-mode engine), or ``"lockstep"`` (single-process windows).
+    #: How a sharded run executed: ``""`` (unsharded), ``"lockstep"``
+    #: (single-process windows), or one of the two labels of the
+    #: multi-process engine, which record its inputs: ``"parallel"`` (no
+    #: shared RNG, failures, churn or monitoring) or ``"parallel-lockstep"``.
     shard_mode: str = ""
     #: The first disqualifying feature that forced the lockstep fallback
     #: (empty when a multi-process mode ran, or when unsharded).
@@ -535,52 +540,8 @@ def _run_events(
     return sum(served)
 
 
-def _parallel_shardable(
-    transport: Union[Transport, TransportSpec, str, None],
-    transport_instance: Optional[Transport],
-    config: Optional[FleetConfig],
-    rng: Optional[np.random.Generator],
-    failure_plan: Optional[FailurePlan],
-    dead_vehicles: Optional[Iterable[Sequence[int]]],
-    recovery_rounds: int,
-    churn_events: Sequence[ChurnSpec],
-    escalation: Optional[bool],
-) -> bool:
-    """Whether a sharded run may use the multi-process isolated mode.
-
-    The isolated mode requires every shard to be a closed sub-simulation:
-    no shared RNG stream (jitter delays and loss draws are consumed in
-    global send order), no cross-cube protocol traffic (monitoring watch
-    rings and escalation cross cube -- and hence potentially shard --
-    boundaries), no failure injection whose clock couples shards, and a
-    transport that is both stateless per edge (``Transport.shardable``) and
-    rebuildable inside a worker process (``None``, a kind name, or a
-    :class:`TransportSpec` -- not a caller-owned instance).  Everything
-    else falls back to the lockstep mode, which is exact for every
-    configuration.
-    """
-    if rng is not None or failure_plan is not None or dead_vehicles is not None:
-        return False
-    if recovery_rounds != 0 or churn_events:
-        return False
-    monitoring = config.monitoring if config is not None else False
-    if escalation is not None:
-        escalated = bool(escalation)
-    else:
-        escalated = config.escalation if config is not None else False
-    if monitoring or escalated:
-        return False
-    if transport is None:
-        # The legacy default channel with rng=None: a fixed-delay reliable
-        # transport, rebuilt identically by each worker's Network.
-        return True
-    if not isinstance(transport, (str, TransportSpec)):
-        return False
-    return transport_instance is not None and transport_instance.shardable
-
-
 class _ShardPartition:
-    """The shared geometry split of the multi-process modes.
+    """The geometry split of the multi-process shard engine.
 
     Replicates the single-process geometry (cube side, planned window,
     hierarchy) *without* building the global fleet, then splits demand
@@ -646,7 +607,7 @@ class _ShardPartition:
             return default
 
 
-def _run_online_parallel(
+def _run_online_multiprocess(
     jobs: JobSequence,
     demand: DemandMap,
     omega: float,
@@ -656,96 +617,7 @@ def _run_online_parallel(
     transport: Union[TransportSpec, str, None],
     transport_instance: Optional[Transport],
     shards: int,
-    workers: Optional[int] = None,
-) -> OnlineResult:
-    """The multi-process isolated mode: one worker sub-fleet per shard.
-
-    The coordinator splits demand and jobs by owning shard
-    (:class:`_ShardPartition`) and fans the shard payloads out to worker
-    processes; :func:`merge_shard_results` reassembles the per-cube state
-    segments in global creation order so the merged result is
-    byte-identical to the unsharded run.
-    """
-    base = config if config is not None else FleetConfig()
-    # The run-level escalation override is resolved *before* pickling: a
-    # worker provisions straight from this config, so it must already
-    # carry the setting the reference fleet would run with.
-    base = dataclasses.replace(base, escalation=False)
-    split = _ShardPartition(jobs, demand, omega, shards)
-
-    theorem_capacity = online_upper_bound_factor(demand.dim) * omega
-    provisioned: Optional[float] = (
-        theorem_capacity if capacity == "theorem" else capacity
-    )
-
-    transport_payload: Union[Dict[str, object], str, None]
-    if isinstance(transport, TransportSpec):
-        transport_payload = transport.to_json()
-    else:
-        transport_payload = transport
-
-    payloads = [
-        {
-            "shard": shard,
-            "entries": split.entries_by_shard[shard],
-            "dim": demand.dim,
-            "window_lo": split.window.lo,
-            "window_hi": split.window.hi,
-            "omega": float(omega),
-            "capacity": provisioned,
-            "config": base,
-            "transport": transport_payload,
-            "jobs": split.jobs_by_shard[shard],
-        }
-        for shard in range(shards)
-        if split.entries_by_shard[shard]
-    ]
-    merged = merge_shard_results(run_parallel(payloads, workers=workers))
-
-    return OnlineResult(
-        jobs_total=len(jobs),
-        jobs_served=merged["served"],
-        feasible=merged["served"] == len(jobs),
-        max_vehicle_energy=merged["max_energy"],
-        total_travel=merged["total_travel"],
-        total_service=merged["total_service"],
-        omega=float(omega),
-        omega_star=omega_star,
-        capacity=provisioned,
-        theorem_capacity=theorem_capacity,
-        replacements=merged["replacements"],
-        searches=merged["searches"],
-        failed_replacements=merged["failed_replacements"],
-        messages=merged["messages"],
-        heartbeat_rounds=merged["heartbeat_rounds"],
-        vehicle_energies=merged["vehicle_energies"],
-        engine="events",
-        events_processed=merged["events"],
-        sim_time=merged["sim_time"],
-        transport=(
-            transport_instance.kind if transport_instance is not None else "reliable"
-        ),
-        messages_dropped=merged["messages_dropped"],
-        messages_corrupted=merged["messages_corrupted"],
-        escalation=False,
-        shards=shards,
-        window_barriers=0,
-        cross_shard_messages=0,
-        shard_timings=merged["timings"],
-        shard_mode="parallel",
-    )
-
-
-def _run_online_parallel_lockstep(
-    jobs: JobSequence,
-    demand: DemandMap,
-    omega: float,
-    omega_star: float,
-    capacity: CapacitySpec,
-    config: Optional[FleetConfig],
-    transport: Union[TransportSpec, str, None],
-    transport_instance: Optional[Transport],
-    shards: int,
+    shard_mode: str,
     *,
     failure_plan: Optional[FailurePlan],
     dead_vehicles: Optional[Iterable[Sequence[int]]],
@@ -753,19 +625,22 @@ def _run_online_parallel_lockstep(
     escalation: Optional[bool],
     workers: Optional[int] = None,
 ) -> OnlineResult:
-    """The multi-process failure-mode engine: parallel lockstep workers.
+    """The multi-process shard engine: one worker sub-fleet per shard.
 
-    Extends the isolated mode to monitoring, crashes, suppression,
-    partitions, and churn (see :mod:`repro.distsim.parallel_lockstep` for
-    the structural argument).  Beyond the demand/job split, each payload
-    carries the pickled failure plan, the full dead-vehicle and churn
-    lists (foreign entries no-op), and -- when the run needs fleet-wide
-    clock/round replication (monitoring or timed partitions) -- the
-    arrival times of every *other* shard's jobs, replayed as tick events.
-    Workers free-run through one conservative window (infinite Chandy-Misra
-    lookahead: the eligible class has zero outbound boundary edges) and the
-    merge corrects the replicated bookkeeping, so the result is
-    byte-identical to the single-process run at any worker count.
+    The coordinator splits demand and jobs by owning shard
+    (:class:`_ShardPartition`).  Each payload also carries the pickled
+    failure plan, the full dead-vehicle and churn lists (foreign entries
+    no-op), and -- when the run needs fleet-wide clock/round replication
+    (monitoring or timed partitions) -- the arrival times of every *other*
+    shard's jobs, replayed as tick events; a failure-free run ships none
+    of these (see :mod:`repro.distsim.parallel_lockstep` for the
+    structural argument).  Workers free-run through one conservative
+    window (infinite Chandy-Misra lookahead: the eligible class has zero
+    outbound boundary edges) and the merge reassembles the per-cube state
+    segments in global creation order and corrects the replicated
+    bookkeeping, so the result is byte-identical to the single-process run
+    at any worker count.  ``shard_mode`` only labels the result and picks
+    which module name of the pool and merge to call.
     """
     base = config if config is not None else FleetConfig()
     if escalation is not None:
@@ -839,9 +714,12 @@ def _run_online_parallel_lockstep(
                 "cube_side": split.cube_side,
             }
         )
-    merged = merge_parallel_lockstep_results(
-        run_parallel_lockstep(payloads, workers=workers)
-    )
+    if shard_mode == "parallel":
+        merged = merge_shard_results(run_parallel(payloads, workers=workers))
+    else:
+        merged = merge_parallel_lockstep_results(
+            run_parallel_lockstep(payloads, workers=workers)
+        )
 
     return OnlineResult(
         jobs_total=len(jobs),
@@ -873,11 +751,11 @@ def _run_online_parallel_lockstep(
         window_barriers=merged["window_barriers"],
         cross_shard_messages=0,
         shard_timings=merged["timings"],
-        shard_mode="parallel-lockstep",
-        # Gossip never qualifies for this mode (fleet-wide digest fanout
+        shard_mode=shard_mode,
+        # Gossip never qualifies for this engine (fleet-wide digest fanout
         # crosses shards), so monitoring here is always off or ring.
         # Detection-latency digests are a single-fleet measurement; the
-        # multi-process modes report zero detections by design.
+        # multi-process runs report zero detections by design.
         monitoring_mode="ring" if base.monitoring else "",
     )
 
@@ -947,26 +825,36 @@ def run_online(
     shards:
         Partition the run into this many cube-aligned shards (see
         :mod:`repro.distsim.sharding`).  The result is byte-identical to
-        the ``shards=1`` run: shard-safe configurations fan out to one
-        worker process per shard (``"parallel"``), shard-*local* failure
-        configurations -- monitoring without escalation, crashes,
-        partitions, churn, edge-stream transports -- fan out through the
-        parallel lockstep engine (``"parallel-lockstep"``, see
-        :mod:`repro.distsim.parallel_lockstep`), and everything else runs
-        the single global fleet through lockstep window barriers, counting
-        cross-shard traffic.  The mode that ran (and, for the fallback,
-        the first disqualifying feature) is recorded on the result as
-        ``shard_mode`` / ``shard_mode_reason`` and logged under
+        the ``shards=1`` run.  Configurations whose protocol traffic is
+        shard-local (no escalation, no recovery rounds, a rebuildable
+        transport with no shared stream; see
+        :func:`~repro.distsim.parallel_lockstep.parallel_lockstep_eligibility`)
+        fan out to one worker process per shard; everything else runs the
+        single global fleet through lockstep window barriers, counting
+        cross-shard traffic.  ``shard_mode`` on the result records the
+        inputs: ``"parallel"`` for a multi-process run with no shared
+        RNG, failures, churn or monitoring, ``"parallel-lockstep"`` for a
+        multi-process run with any of them, and ``"lockstep"`` for the
+        fallback, whose first disqualifying feature is
+        ``shard_mode_reason``.  The mode is logged under
         ``repro.distsim.sharding``.  Requires ``engine="events"``.
     shard_workers:
-        Concurrency cap for the multi-process modes (default: one process
-        per non-empty shard, up to the CPU count).  Results are identical
-        at any worker count.
+        Concurrency cap for the multi-process runs: ``None`` (one process
+        per non-empty shard, up to the CPU count) or a positive integer.
+        Results are identical at any worker count.
     """
     if engine not in ONLINE_ENGINES:
         raise ValueError(f"engine must be one of {ONLINE_ENGINES}, got {engine!r}")
     if not isinstance(shards, int) or isinstance(shards, bool) or shards < 1:
         raise ValueError(f"shards must be a positive integer, got {shards!r}")
+    if shard_workers is not None and (
+        not isinstance(shard_workers, int)
+        or isinstance(shard_workers, bool)
+        or shard_workers < 1
+    ):
+        raise ValueError(
+            f"shard_workers must be None or a positive integer, got {shard_workers!r}"
+        )
     if shards > 1 and engine != "events":
         raise ValueError("sharded runs require engine='events'")
     transport_instance = build_transport(transport)
@@ -999,40 +887,36 @@ def run_online(
     shard_mode = ""
     shard_mode_reason = ""
     if shards > 1:
-        if _parallel_shardable(
+        eligible, reason = parallel_lockstep_eligibility(
             transport,
             transport_instance,
             config,
             rng,
             failure_plan,
-            dead_vehicles,
             recovery_rounds,
-            churn_events,
             escalation,
+        )
+        if not eligible:
+            shard_mode, shard_mode_reason = "lockstep", reason
+        elif (
+            rng is None
+            and failure_plan is None
+            and dead_vehicles is None
+            and not churn_events
+            and not (config is not None and config.monitoring)
         ):
+            # The label records the inputs; both run on the same engine.
             shard_mode = "parallel"
         else:
-            eligible, reason = parallel_lockstep_eligibility(
-                transport,
-                transport_instance,
-                config,
-                rng,
-                failure_plan,
-                recovery_rounds,
-                escalation,
-            )
-            if eligible:
-                shard_mode = "parallel-lockstep"
-            else:
-                shard_mode, shard_mode_reason = "lockstep", reason
+            shard_mode = "parallel-lockstep"
         _LOG.info(
             "run_online shards=%d mode=%s%s",
             shards,
             shard_mode,
             f" ({shard_mode_reason})" if shard_mode_reason else "",
         )
-    if shard_mode == "parallel":
-        return _run_online_parallel(
+    if shard_mode in ("parallel", "parallel-lockstep"):
+        return _run_online_multiprocess(
             jobs,
             demand,
             omega,
@@ -1042,19 +926,7 @@ def run_online(
             transport,
             transport_instance,
             shards,
-            workers=shard_workers,
-        )
-    if shard_mode == "parallel-lockstep":
-        return _run_online_parallel_lockstep(
-            jobs,
-            demand,
-            omega,
-            omega_star,
-            capacity,
-            config,
-            transport,
-            transport_instance,
-            shards,
+            shard_mode,
             failure_plan=failure_plan,
             dead_vehicles=dead_vehicles,
             churn_events=churn_events,

@@ -1,21 +1,22 @@
-"""Multi-process parallel lockstep: per-shard worker fleets for failure runs.
+"""Which sharded runs may fan out to worker processes, and why that is exact.
 
-PR 8's parallel isolated mode only fans out *shard-safe* configurations --
-no failures, no monitoring, no stream-coupled transport -- so the paper's
-actual failure-recovery protocol (the interesting part) got zero parallel
-speedup.  This module widens the multi-process class to the failure modes
-whose protocol traffic is provably shard-local:
+Gao's strategy serves each job inside its own omega-cube, and
+:class:`~repro.distsim.sharding.ShardPlan` assigns cubes whole to shards,
+so a sharded run whose protocol traffic never leaves a cube is a set of
+independent sub-fleets.  :func:`~repro.distsim.sharding.run_parallel`
+runs one worker process per shard for exactly that class; a failure-free
+reliable run is its simplest member (no failure payload, no tick events),
+and the failure modes below are the rest:
 
 * **Monitoring without escalation.**  With ``FleetConfig.escalation`` off
   the fleet builds no hierarchical watch ring: heartbeats flow between
   cube-local watch pairs, Phase I/II replacement is intra-cube, and the
   engaged-set round tick touches only local vehicles.  Every logical send
-  therefore stays inside the cube that owns both endpoints -- and cubes are
-  exactly what :class:`~repro.distsim.sharding.ShardPlan` assigns whole to
-  shards -- so the cross-shard mailbox is provably empty and each shard's
-  Chandy-Misra lookahead (local clock + minimum *outbound* boundary-edge
-  latency) is infinite: the conservative window is unbounded and each
-  worker free-runs to quiescence through a single window barrier.
+  therefore stays inside the cube that owns both endpoints, so the
+  cross-shard mailbox is provably empty and each shard's Chandy-Misra
+  lookahead (local clock + minimum *outbound* boundary-edge latency) is
+  infinite: the conservative window is unbounded and each worker
+  free-runs to quiescence through a single window barrier.
 * **Crashes, initiation suppression, partitions, churn.**  The
   :class:`~repro.distsim.failures.FailurePlan` is declarative (sets of
   identities, timed partition windows, churn specs), so it partitions by
@@ -49,26 +50,19 @@ configuration.  The reason is recorded on the result (and logged), so
 bench numbers can't silently be misread as parallel.
 
 Workers verify the zero-boundary-traffic claim at runtime: an
-:class:`IsolationGuard` installed as ``Network.shard_monitor`` raises on
-the first send whose endpoints map to different shards, turning any future
-eligibility bug into a loud failure instead of a silent divergence.
+:class:`~repro.distsim.sharding.IsolationGuard` installed as
+``Network.shard_monitor`` raises on the first send whose endpoints map to
+different shards, turning any future eligibility bug into a loud failure
+instead of a silent divergence.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from repro.distsim.failures import FailurePlan
-from repro.distsim.sharding import merge_shard_results
 
-__all__ = [
-    "parallel_lockstep_eligibility",
-    "shard_lookahead",
-    "IsolationGuard",
-    "run_parallel_lockstep",
-    "merge_parallel_lockstep_results",
-]
+__all__ = ["parallel_lockstep_eligibility"]
 
 
 def parallel_lockstep_eligibility(
@@ -140,240 +134,3 @@ def parallel_lockstep_eligibility(
             'shared stream (lossy/corrupting need stream="edge")',
         )
     return (True, "")
-
-
-def shard_lookahead(transport, boundary_out_edges: Sequence[Tuple[Hashable, Hashable]]):
-    """The Chandy-Misra lookahead of one shard.
-
-    The earliest instant a shard at local clock ``t`` can affect another
-    shard is ``t + min(latency of an outbound boundary edge)``; the
-    coordinator recomputes the bound per window from the frontier clock.
-    A shard with no outbound boundary edges can never affect another
-    shard, so its lookahead is infinite and it free-runs to quiescence --
-    the optimum, and exactly the situation the eligible configuration
-    class guarantees (all protocol traffic is cube-local).
-    """
-    if not boundary_out_edges:
-        return math.inf
-    latencies = [
-        float(transport.latency(sender, destination, None))
-        for sender, destination in boundary_out_edges
-    ]
-    positive = [value for value in latencies if value > 0.0]
-    return min(positive) if positive else 0.0
-
-
-class IsolationGuard:
-    """Raises on the first send that crosses a shard boundary.
-
-    Installed as ``Network.shard_monitor`` inside each worker.  Identities
-    map to shards through their home cube (the dense cube->shard lookup
-    table the coordinator built), cached per identity.  The eligible
-    configuration class guarantees this never fires; the guard converts a
-    violated guarantee into an immediate, attributable error rather than a
-    silently diverged merge.
-    """
-
-    __slots__ = ("shard", "lut", "lo", "side", "_cache", "checked")
-
-    def __init__(self, shard: int, lut, lo: Sequence[int], side: int) -> None:
-        self.shard = int(shard)
-        self.lut = lut
-        self.lo = tuple(int(c) for c in lo)
-        self.side = int(side)
-        self._cache: Dict[Hashable, int] = {}
-        self.checked = 0
-
-    def shard_of(self, identity: Hashable) -> int:
-        shard = self._cache.get(identity)
-        if shard is None:
-            cube = tuple(
-                (int(c) - low) // self.side for c, low in zip(identity, self.lo)
-            )
-            shard = int(self.lut[cube])
-            self._cache[identity] = shard
-        return shard
-
-    def __call__(self, sender: Hashable, destination: Hashable, message: Any) -> None:
-        self.checked += 1
-        source = self.shard_of(sender)
-        target = self.shard_of(destination)
-        if source != self.shard or target != self.shard:
-            raise RuntimeError(
-                f"parallel lockstep isolation violated: shard {self.shard} "
-                f"observed a send {sender!r} (shard {source}) -> "
-                f"{destination!r} (shard {target}) of "
-                f"{type(message).__name__}; this configuration should have "
-                "fallen back to single-process lockstep"
-            )
-
-
-def _parallel_lockstep_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Run one shard's sub-fleet through the parallel lockstep engine.
-
-    The worker rebuilds its sub-fleet exactly as the PR 8 isolated worker
-    does (same provisioning order, global window geometry, trusted job
-    rebuild), then layers on the failure-mode machinery: the pickled
-    failure plan and dead-vehicle sweep, every churn spec (foreign
-    vertices no-op), and -- when the run needs clock/round replication --
-    one *tick* event per foreign arrival time replaying the reference
-    arrival's bookkeeping prefix (failure-clock advance + global heartbeat
-    round).  Execution itself goes through :func:`run_lockstep` with an
-    infinite horizon: one conservative window to quiescence, one barrier,
-    the Chandy-Misra optimum for a shard with no outbound boundary edges.
-    Harness imports stay lazy (distsim sits below the vehicle protocol).
-    """
-    import time as _time
-
-    from repro.core.demand import DemandMap, Job, JobSequence
-    from repro.core.online import _run_events, provision_fleet
-    from repro.distsim.sharding import ShardMailbox, lockstep_window, run_lockstep
-    from repro.distsim.transport import TransportSpec
-    from repro.grid.lattice import Box
-
-    start = _time.perf_counter()
-    demand = DemandMap(
-        {tuple(point): value for point, value in payload["entries"]},
-        dim=payload["dim"],
-    )
-    window = Box(tuple(payload["window_lo"]), tuple(payload["window_hi"]))
-    transport = payload["transport"]
-    if isinstance(transport, dict):
-        transport = TransportSpec.from_json(transport).build()
-    elif isinstance(transport, str):
-        transport = TransportSpec(kind=transport).build()
-    fleet, fleet_config, _, _ = provision_fleet(
-        demand,
-        omega=payload["omega"],
-        capacity=payload["capacity"],
-        config=payload["config"],
-        failure_plan=payload["failure_plan"],
-        dead_vehicles=payload["dead"],
-        transport=transport,
-        window=window,
-    )
-    if payload.get("verify_isolation", True):
-        guard = IsolationGuard(
-            payload["shard"], payload["shard_lut"], payload["window_lo"],
-            payload["cube_side"],
-        )
-        fleet.network.shard_monitor = guard
-    jobs = JobSequence.from_sorted(
-        [
-            Job.trusted(time, tuple(position), energy)
-            for time, position, energy in payload["jobs"]
-        ]
-    )
-
-    barriers = 0
-    window_length = lockstep_window(
-        fleet.network.transport, fleet_config.message_delay
-    )
-    mailbox = ShardMailbox()
-
-    def _run(simulator) -> None:
-        nonlocal barriers
-        _executed, barriers = run_lockstep(
-            simulator, window_length, mailbox=mailbox, horizon=math.inf
-        )
-
-    served = _run_events(
-        fleet,
-        fleet_config,
-        jobs,
-        0,
-        payload["churn"],
-        fleet.failure_plan,
-        run=_run,
-        foreign_times=payload["foreign_times"],
-    )
-
-    # Replicated bookkeeping events (foreign-arrival ticks, churn specs
-    # owned by other shards) execute once per shard but once in the
-    # reference run; subtract them so merged events sum to the reference.
-    replicated = len(payload["foreign_times"]) + (
-        len(payload["churn"]) - payload["churn_owned"]
-    )
-
-    flat = fleet.flat
-    segments = []
-    for index, cube_id in flat.cube_id_of.items():
-        lo, hi = flat.cube_slices[cube_id]
-        segments.append(
-            (
-                index,
-                flat.identities[lo:hi],
-                list(flat.travel[lo:hi]),
-                list(flat.service[lo:hi]),
-            )
-        )
-    return {
-        "shard": payload["shard"],
-        "jobs_total": len(jobs),
-        "served": served,
-        "segments": segments,
-        "max_energy": fleet.max_energy_used(),
-        "replacements": fleet.stats.replacements,
-        "searches": fleet.stats.searches_started,
-        "failed_replacements": fleet.stats.failed_replacements,
-        "messages": fleet.messages_sent(),
-        "heartbeat_rounds": fleet.stats.heartbeat_rounds,
-        "messages_dropped": fleet.messages_dropped(),
-        "messages_corrupted": fleet.messages_corrupted(),
-        "events": fleet.simulator.events_processed - replicated,
-        "replicated_events": replicated,
-        "barriers": barriers,
-        "sim_time": fleet.simulator.now,
-        "vehicles": len(fleet.vehicles),
-        "elapsed": _time.perf_counter() - start,
-    }
-
-
-def run_parallel_lockstep(
-    payloads: Sequence[Dict[str, Any]], *, workers: Optional[int] = None
-) -> List[Dict[str, Any]]:
-    """One :func:`_parallel_lockstep_worker` per payload, in a process pool.
-
-    A single payload runs inline; results come back in payload order
-    regardless of completion order, and each worker is a closed
-    deterministic sub-simulation, so the merged result is independent of
-    ``workers`` (any concurrency level reproduces the same bytes).
-    """
-    if not payloads:
-        return []
-    if len(payloads) == 1:
-        return [_parallel_lockstep_worker(payloads[0])]
-    import os
-    from concurrent.futures import ProcessPoolExecutor
-
-    if workers is None:
-        workers = min(len(payloads), os.cpu_count() or 1)
-    else:
-        workers = max(1, min(int(workers), len(payloads)))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_parallel_lockstep_worker, payloads))
-
-
-def merge_parallel_lockstep_results(
-    results: Sequence[Dict[str, Any]],
-) -> Dict[str, Any]:
-    """Merge parallel lockstep worker results, replication-aware.
-
-    Defers to :func:`~repro.distsim.sharding.merge_shard_results` for the
-    float-exact per-cube segment merge and the summed counters, then
-    corrects the two measurements replication distorts: heartbeat rounds
-    are *replicated* (every shard runs every global round, so the merged
-    count is the per-shard maximum, not the sum), and ``events`` already
-    arrive net of each worker's replicated bookkeeping (the sum is the
-    reference count).  Barrier and replication totals ride along for the
-    bench artifacts.
-    """
-    merged = merge_shard_results(results)
-    merged["heartbeat_rounds"] = max(
-        (result["heartbeat_rounds"] for result in results), default=0
-    )
-    merged["window_barriers"] = sum(result["barriers"] for result in results)
-    merged["replicated_events"] = sum(
-        result["replicated_events"] for result in results
-    )
-    return merged

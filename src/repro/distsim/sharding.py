@@ -30,15 +30,17 @@ therefore a natural shard key, and this module turns it into one:
   run; this mode covers *every* configuration, including the stream-coupled
   transports (lossy, corrupting, shared-RNG jitter) whose draws depend on
   the global send order.
-* :func:`run_parallel` is the multi-process fast path for shard-*safe*
-  configurations (shardable transport, no shared RNG, no monitoring or
-  escalation, no failure injection): with zero cross-shard traffic the
-  shards are fully independent sub-simulations, each worker builds its own
-  sub-fleet over the global window and runs to quiescence, and
-  :func:`merge_shard_results` reassembles the per-cube state segments in
-  global creation (lex) order so even float summation order -- and with it
-  ``total_travel``/``total_service`` -- matches the single-process run bit
-  for bit.
+* :func:`run_parallel` is the multi-process engine for the configurations
+  :func:`~repro.distsim.parallel_lockstep.parallel_lockstep_eligibility`
+  admits (all protocol traffic shard-local): each :func:`_shard_worker`
+  builds its own sub-fleet over the global window, replays the failure
+  plan, churn and foreign-arrival ticks the run needs (none for a
+  failure-free run, which is then a set of fully independent
+  sub-simulations), runs to quiescence under an :class:`IsolationGuard`,
+  and :func:`merge_shard_results` reassembles the per-cube state segments
+  in global creation (lex) order so even float summation order -- and
+  with it ``total_travel``/``total_service`` -- matches the
+  single-process run bit for bit.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ __all__ = [
     "ShardPlan",
     "ShardMailbox",
     "ShardMonitor",
+    "IsolationGuard",
     "lockstep_window",
     "cross_shard_edge_latencies",
     "run_lockstep",
@@ -304,6 +307,51 @@ class ShardMonitor:
             )
 
 
+class IsolationGuard:
+    """Raises on the first send that crosses a shard boundary.
+
+    Installed as ``Network.shard_monitor`` inside each worker.  Identities
+    map to shards through their home cube (the dense cube->shard lookup
+    table the coordinator built), cached per identity.  The eligible
+    configuration class guarantees this never fires; the guard converts a
+    violated guarantee into an immediate, attributable error rather than a
+    silently diverged merge.
+    """
+
+    __slots__ = ("shard", "lut", "lo", "side", "_cache", "checked")
+
+    def __init__(self, shard: int, lut, lo: Sequence[int], side: int) -> None:
+        self.shard = int(shard)
+        self.lut = lut
+        self.lo = tuple(int(c) for c in lo)
+        self.side = int(side)
+        self._cache: Dict[Hashable, int] = {}
+        self.checked = 0
+
+    def shard_of(self, identity: Hashable) -> int:
+        shard = self._cache.get(identity)
+        if shard is None:
+            cube = tuple(
+                (int(c) - low) // self.side for c, low in zip(identity, self.lo)
+            )
+            shard = int(self.lut[cube])
+            self._cache[identity] = shard
+        return shard
+
+    def __call__(self, sender: Hashable, destination: Hashable, message: Any) -> None:
+        self.checked += 1
+        source = self.shard_of(sender)
+        target = self.shard_of(destination)
+        if source != self.shard or target != self.shard:
+            raise RuntimeError(
+                f"shard isolation violated: shard {self.shard} "
+                f"observed a send {sender!r} (shard {source}) -> "
+                f"{destination!r} (shard {target}) of "
+                f"{type(message).__name__}; this configuration should have "
+                "fallen back to single-process lockstep"
+            )
+
+
 def lockstep_window(
     transport,
     fallback: float = 0.0,
@@ -441,9 +489,8 @@ def run_lockstep(
         barriers += 1
     return executed, barriers
 
-
 # --------------------------------------------------------------------------- #
-# the parallel isolated mode (multi-process workers)
+# the multi-process shard engine (one worker per shard)
 # --------------------------------------------------------------------------- #
 
 
@@ -452,7 +499,19 @@ def _shard_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
 
     The payload is plain picklable data (demand entries, resolved omega and
     capacity, the fleet config, the *global* window corners, the shard's
-    job subsequence, a rebuildable transport description).  Harness imports
+    job subsequence, a rebuildable transport description) plus the
+    failure-mode inputs: the pickled failure plan and dead-vehicle sweep,
+    every churn spec (foreign vertices no-op), and -- when the run needs
+    clock/round replication -- one *tick* event per foreign arrival time
+    replaying the reference arrival's bookkeeping prefix (failure-clock
+    advance + global heartbeat round).  A run without failures ships
+    ``None`` / empty for all of these, and the worker is then a plain
+    isolated sub-simulation.
+
+    An :class:`IsolationGuard` checks every send stays inside the shard.
+    Execution goes through :func:`run_lockstep` with an infinite horizon:
+    one conservative window to quiescence, one barrier, the Chandy-Misra
+    optimum for a shard with no outbound boundary edges.  Harness imports
     happen lazily: distsim is a layer below the vehicle protocol and must
     not depend on it at import time.
     """
@@ -479,8 +538,14 @@ def _shard_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
         omega=payload["omega"],
         capacity=payload["capacity"],
         config=payload["config"],
+        failure_plan=payload["failure_plan"],
+        dead_vehicles=payload["dead"],
         transport=transport,
         window=window,
+    )
+    fleet.network.shard_monitor = IsolationGuard(
+        payload["shard"], payload["shard_lut"], payload["window_lo"],
+        payload["cube_side"],
     )
     # Positions pickled straight out of valid Job objects: the trusted
     # constructors skip the per-job validation sweep, which dominates the
@@ -491,7 +556,36 @@ def _shard_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
             for time, position, energy in payload["jobs"]
         ]
     )
-    served = _run_events(fleet, fleet_config, jobs, 0, (), fleet.failure_plan)
+
+    barriers = 0
+    window_length = lockstep_window(
+        fleet.network.transport, fleet_config.message_delay
+    )
+    mailbox = ShardMailbox()
+
+    def _run(simulator) -> None:
+        nonlocal barriers
+        _executed, barriers = run_lockstep(
+            simulator, window_length, mailbox=mailbox, horizon=math.inf
+        )
+
+    served = _run_events(
+        fleet,
+        fleet_config,
+        jobs,
+        0,
+        payload["churn"],
+        fleet.failure_plan,
+        run=_run,
+        foreign_times=payload["foreign_times"],
+    )
+
+    # Replicated bookkeeping events (foreign-arrival ticks, churn specs
+    # owned by other shards) execute once per shard but once in the
+    # reference run; subtract them so merged events sum to the reference.
+    replicated = len(payload["foreign_times"]) + (
+        len(payload["churn"]) - payload["churn_owned"]
+    )
 
     # Per-cube state segments in the worker's creation (= lex) order: the
     # coordinator re-sorts segments globally so merged travel/service sums
@@ -521,7 +615,9 @@ def _shard_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
         "heartbeat_rounds": fleet.stats.heartbeat_rounds,
         "messages_dropped": fleet.messages_dropped(),
         "messages_corrupted": fleet.messages_corrupted(),
-        "events": fleet.simulator.events_processed,
+        "events": fleet.simulator.events_processed - replicated,
+        "replicated_events": replicated,
+        "barriers": barriers,
         "sim_time": fleet.simulator.now,
         "vehicles": len(fleet.vehicles),
         "elapsed": _time.perf_counter() - start,
@@ -534,7 +630,9 @@ def run_parallel(
     """Run one :func:`_shard_worker` per payload in a process pool.
 
     A single payload runs inline (no pool overhead); results come back in
-    payload order regardless of completion order.
+    payload order regardless of completion order, and each worker is a
+    closed deterministic sub-simulation, so the merged result is
+    independent of ``workers`` (clamped to ``[1, len(payloads)]``).
     """
     if not payloads:
         return []
@@ -545,6 +643,8 @@ def run_parallel(
 
     if workers is None:
         workers = min(len(payloads), os.cpu_count() or 1)
+    else:
+        workers = max(1, min(int(workers), len(payloads)))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_shard_worker, payloads))
 
@@ -558,6 +658,13 @@ def merge_shard_results(results: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
     merged ``total_travel``/``total_service`` floats (and the merged
     ``vehicle_energies`` insertion order) are bit-identical to the
     unsharded run's.
+
+    Two measurements are replication-aware: heartbeat rounds are
+    *replicated* (every shard runs every global round, so the merged count
+    is the per-shard maximum, not the sum), and ``events`` already arrive
+    net of each worker's replicated bookkeeping (the sum is the reference
+    count).  Barrier and replication totals ride along for the bench
+    artifacts.
     """
     segments = []
     for result in results:
@@ -582,12 +689,16 @@ def merge_shard_results(results: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
         "searches": sum(result["searches"] for result in results),
         "failed_replacements": sum(result["failed_replacements"] for result in results),
         "messages": sum(result["messages"] for result in results),
-        "heartbeat_rounds": sum(result["heartbeat_rounds"] for result in results),
+        "heartbeat_rounds": max(
+            (result["heartbeat_rounds"] for result in results), default=0
+        ),
         "messages_dropped": sum(result["messages_dropped"] for result in results),
         "messages_corrupted": sum(result["messages_corrupted"] for result in results),
         "events": sum(result["events"] for result in results),
         "sim_time": max((result["sim_time"] for result in results), default=0.0),
         "vehicles": sum(result["vehicles"] for result in results),
+        "window_barriers": sum(result["barriers"] for result in results),
+        "replicated_events": sum(result["replicated_events"] for result in results),
         "timings": {result["shard"]: result["elapsed"] for result in results},
     }
     return merged

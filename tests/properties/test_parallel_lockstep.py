@@ -37,10 +37,7 @@ from repro.core.demand import JobSequence
 from repro.core.online import run_online
 from repro.distsim.engine import Simulator
 from repro.distsim.failures import ChurnSpec, FailurePlan, PartitionSpec
-from repro.distsim.parallel_lockstep import (
-    parallel_lockstep_eligibility,
-    shard_lookahead,
-)
+from repro.distsim.parallel_lockstep import parallel_lockstep_eligibility
 from repro.distsim.sharding import (
     ShardMailbox,
     cross_shard_edge_latencies,
@@ -307,10 +304,6 @@ class TestLockstepWindowFloor:
         probes = cross_shard_edge_latencies(transport, Plan(), members.get)
         assert probes == [0.008, 0.008]  # 4 lattice steps * 0.002, per cube
         assert lockstep_window(transport, 0.0, edge_latencies=probes) == 0.008
-
-    def test_lookahead_infinite_without_boundary_edges(self):
-        assert shard_lookahead(LossyTransport(delay=0.5), []) == math.inf
-        assert shard_lookahead(LossyTransport(delay=0.5), [((0, 0), (3, 0))]) == 0.5
 
 
 class TestShardMailboxPrefixCut:

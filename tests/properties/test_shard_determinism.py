@@ -183,6 +183,11 @@ class TestParallelModeByteIdentity:
         with pytest.raises(ValueError):
             run_online(workload, engine="events", shards=bad)
 
+    @pytest.mark.parametrize("bad", [0, -1, 1.5, True])
+    def test_shard_workers_validation(self, workload, bad):
+        with pytest.raises(ValueError, match="shard_workers"):
+            run_online(workload, engine="events", shards=SHARDS, shard_workers=bad)
+
 
 class TestServiceShardInvariance:
     """Sharded service runs keep result_hash and fleet_digest."""
