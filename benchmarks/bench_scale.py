@@ -26,7 +26,7 @@ benchmark is their regression gate.  For each scale it measures
 * **lockstep events/sec** (``10^4`` tier, ``lockstep_events_per_sec``):
   a failure-mode run (crash sweep + partition + lossy transport) with
   escalation on, which disqualifies parallel sharding and exercises the
-  windowed single-process lockstep fallback -- the committed
+  single-process lockstep fallback -- the committed
   ``lockstep_events_per_sec_1e4`` floor gates it every build.
 * **parallel lockstep** (``10^5-failure`` tier): the same demand with a
   sparse crash sweep and an *edge-keyed* lossy transport, eligible for
@@ -133,11 +133,11 @@ def measure_quiescent(demand, rounds: int = 50) -> dict:
 
 
 def measure_throughput(demand, seed: int = 0, shards: int = 1) -> dict:
-    """Events/sec of one full events-engine online run (optionally sharded)."""
+    """Events/sec of one full online run (optionally sharded)."""
     jobs = random_arrivals(demand, np.random.default_rng(seed))
     start = time.perf_counter()
     result = run_online(
-        jobs, capacity="theorem", config=FleetConfig(), engine="events", shards=shards
+        jobs, capacity="theorem", config=FleetConfig(), shards=shards
     )
     elapsed = time.perf_counter() - start
     if not result.feasible:
@@ -185,11 +185,12 @@ def measure_lockstep_throughput(demand, seed: int = 0, shards: int = 4) -> dict:
 
     Escalation plus a global-stream lossy transport disqualify the run
     from every multi-process path, so ``shards=4`` is forced through the
-    windowed lockstep fallback -- the engine whose per-window barrier and
-    adaptive-horizon overhead this figure gates (the transport's 0.02
-    delay makes nearly every event its own conservative window, the worst
-    case).  The mode and first disqualifying reason are recorded so the
-    number can never silently become a parallel-path measurement.
+    lockstep fallback: one global fleet on one clock, with every send
+    classified by a shard monitor.  This figure gates that path's cost --
+    the event loop of an escalated, lossy failure run plus the per-send
+    cross-shard count.  The mode and first disqualifying reason are
+    recorded so the number can never silently become a parallel-path
+    measurement.
     """
     jobs = random_arrivals(demand, np.random.default_rng(seed))
     plan = _crash_plan(demand)
@@ -222,7 +223,6 @@ def measure_lockstep_throughput(demand, seed: int = 0, shards: int = 4) -> dict:
         ),
         "lockstep_run_seconds": elapsed,
         "lockstep_events_processed": result.events_processed,
-        "lockstep_window_barriers": result.window_barriers,
         "lockstep_mode": result.shard_mode,
         "lockstep_mode_reason": result.shard_mode_reason,
     }
@@ -308,11 +308,6 @@ def main(argv=None) -> int:
         default=None,
         help="also write the 1e5 tier's per-shard timing breakdown here",
     )
-    parser.add_argument(
-        "--lockstep-windows-out",
-        default=None,
-        help="also write per-window barrier counts for the lockstep tiers here",
-    )
     args = parser.parse_args(argv)
     repeat = args.repeat if args.repeat is not None else (3 if args.quick else 5)
 
@@ -329,7 +324,7 @@ def main(argv=None) -> int:
             # Cheap even at 10^4 vehicles (that is the point), so it runs
             # in --quick too and the CI gate tracks it every build.
             entry.update(measure_quiescent(demand))
-            # The windowed lockstep fallback engine, gated every build via
+            # The single-process lockstep fallback, gated every build via
             # the committed lockstep_events_per_sec_1e4 floor.
             entry.update(measure_lockstep_throughput(demand))
         report["scales"][label] = entry
@@ -452,29 +447,6 @@ def main(argv=None) -> int:
                 "sharded_run_seconds": entry["sharded_run_seconds"],
             },
             args.shard_timings_out,
-        )
-    if args.lockstep_windows_out:
-        # Per-window barrier counts for the conservative engines: how many
-        # synchronization points each mode actually crossed this run --
-        # the observable the adaptive (Chandy-Misra horizon) windows are
-        # meant to shrink.
-        lockstep_1e4 = report["scales"]["1e4"]
-        emit_report(
-            {
-                "lockstep_1e4": {
-                    "window_barriers": lockstep_1e4["lockstep_window_barriers"],
-                    "events_processed": lockstep_1e4["lockstep_events_processed"],
-                    "mode": lockstep_1e4["lockstep_mode"],
-                    "mode_reason": lockstep_1e4["lockstep_mode_reason"],
-                },
-                f"parallel_lockstep_{failure_label}": {
-                    "window_barriers": failure_entry["window_barriers"],
-                    "shards": failure_entry["shards"],
-                    "events_processed": failure_entry["events_processed"],
-                    "mode": failure_entry["mode"],
-                },
-            },
-            args.lockstep_windows_out,
         )
     return 0
 

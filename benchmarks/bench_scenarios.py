@@ -10,8 +10,8 @@ goal keeps asking:
 
 Every benchmark records events/sec (where meaningful) and the workload
 shape via ``benchmark.extra_info``, and asserts the load-bearing semantic
-claims: the event driver serves exactly what the round driver serves on
-failure-free runs, and every family solves to a valid result.
+claims: the failure-free driver run is feasible, and every family solves
+to a valid result.
 """
 
 from __future__ import annotations
@@ -36,13 +36,15 @@ def _scale_up_jobs(side: int = 10):
     return random_arrivals(demand, np.random.default_rng(0))
 
 
-@pytest.mark.parametrize("engine", ["rounds", "events"])
+# A single value: it keeps the gated benchmark id
+# ``bench_online_driver_events_per_sec[events]`` stable.
+@pytest.mark.parametrize("engine", ["events"])
 def bench_online_driver_events_per_sec(benchmark, engine):
-    """Events/sec of the online harness on a scale-up fleet, per driver."""
+    """Events/sec of the online event driver on a scale-up fleet."""
     jobs = _scale_up_jobs()
 
     result = benchmark(
-        lambda: run_online(jobs, capacity="theorem", config=FleetConfig(), engine=engine)
+        lambda: run_online(jobs, capacity="theorem", config=FleetConfig())
     )
 
     events_per_sec = (
@@ -60,15 +62,6 @@ def bench_online_driver_events_per_sec(benchmark, engine):
         }
     )
     assert result.feasible
-    # The two drivers must agree on failure-free runs.
-    other = run_online(
-        jobs,
-        capacity="theorem",
-        config=FleetConfig(),
-        engine="events" if engine == "rounds" else "rounds",
-    )
-    assert result.jobs_served == other.jobs_served
-    assert result.max_vehicle_energy == other.max_vehicle_energy
 
 
 @pytest.mark.parametrize("family", sorted(available_families()))

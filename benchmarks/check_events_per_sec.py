@@ -34,7 +34,7 @@ ceiling (same tolerance, inverted sense -- detection regresses by getting
 ``--scale-report`` also gates the cube-sharded ``10^5``-vehicle tier: the
 report's ``sharded_events_per_sec`` (wall-clock events/sec of the
 ``run_online(..., shards=N)`` multi-process run) must clear the committed
-``sharded_events_per_sec_1e5`` floor.  It likewise gates the windowed
+``sharded_events_per_sec_1e5`` floor.  It likewise gates the single-process
 *lockstep fallback* engine at the ``10^4`` scale: the report's
 ``lockstep_events_per_sec`` (a failure + lossy + escalation config, which
 disqualifies parallel sharding and forces single-process lockstep) must

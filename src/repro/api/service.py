@@ -381,8 +381,6 @@ class ServiceResult:
     shards: int = 1
     #: Logical sends that crossed a shard boundary.
     cross_shard_messages: int = 0
-    #: Lockstep window barriers the run advanced through.
-    window_barriers: int = 0
     #: Failure-detection mode: ``""``, ``"ring"`` or ``"gossip"``.  New
     #: observability fields below are excluded from ``result_hash`` (the
     #: explicit ``_HASHED_FIELDS`` tuple is unchanged), so pre-gossip

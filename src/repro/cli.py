@@ -842,7 +842,6 @@ def _service_summary(result) -> Table:
         # sharded service run is always observational lockstep.
         table.add_row("shard mode", "lockstep (single clock)")
         table.add_row("cross-shard messages", result.cross_shard_messages)
-        table.add_row("window barriers", result.window_barriers)
     table.add_row("result hash", result.result_hash()[:16])
     return table
 

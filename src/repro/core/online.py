@@ -6,20 +6,13 @@ the active vehicle of its black/white pair, exhausted vehicles are replaced
 through Phase I/II diffusing computations, and (optionally) the monitoring
 loop of Section 3.2.5 recovers from initiation failures and dead vehicles.
 
-Both drivers now run on the same event clock:
-
-* ``engine="events"`` (the default): arrivals, heartbeat ticks, churn and
-  partition windows are all scheduled on the fleet's discrete-event
-  simulator at the jobs' arrival times; protocol messages interleave in
-  timestamp order.  This is the asynchronous system the paper actually
-  analyzes, and the only driver under which timed failures and non-trivial
-  transports (latency, loss, corruption) have a meaningful clock position.
-* ``engine="rounds"``: a thin adapter over the same clock that schedules
-  each job as a *round barrier* event and settles the network to quiescence
-  inside the barrier -- the historical lockstep "deliver, settle,
-  heartbeat" semantics, byte-identical to the pre-adapter rounds driver on
-  failure-free runs (the conformance tests assert both the adapter/event
-  equivalence and the physical fingerprint).
+The driver runs on the fleet's event clock: arrivals, heartbeat ticks,
+churn and partition windows are all scheduled on the discrete-event
+simulator at the jobs' arrival times, protocol messages interleave in
+timestamp order, and the calendar queue drains once to quiescence.  This
+is the asynchronous system the paper analyzes, and the clock on which
+timed failures and non-trivial transports (latency, loss, corruption)
+have a meaningful position.
 
 Message delivery itself is owned by a pluggable
 :class:`~repro.distsim.transport.Transport`; pass ``transport=`` (an
@@ -56,13 +49,9 @@ from repro.core.plan import plan_window
 from repro.distsim.failures import ChurnSpec, FailurePlan, apply_churn
 from repro.distsim.parallel_lockstep import parallel_lockstep_eligibility
 from repro.distsim.sharding import (
-    ShardMailbox,
     ShardMonitor,
     ShardPlan,
-    cross_shard_edge_latencies,
-    lockstep_window,
     merge_shard_results,
-    run_lockstep,
     run_parallel,
 )
 from repro.distsim.transport import Transport, TransportSpec, build_transport
@@ -77,16 +66,13 @@ from repro.vehicles.fleet import Fleet, FleetConfig
 run_parallel_lockstep = run_parallel
 merge_parallel_lockstep_results = merge_shard_results
 
-__all__ = ["OnlineResult", "run_online", "provision_fleet", "ONLINE_ENGINES"]
+__all__ = ["OnlineResult", "run_online", "provision_fleet"]
 
 #: Sharded-run mode selection is logged here (satellite: bench numbers must
 #: be attributable to the mode that actually ran).
 _LOG = logging.getLogger("repro.distsim.sharding")
 
 CapacitySpec = Union[None, float, Literal["theorem"]]
-
-#: The two harness drivers (see the module docstring); the first is the default.
-ONLINE_ENGINES = ("events", "rounds")
 
 #: Identity-keyed memo of the omega quantities per job sequence, each
 #: computed lazily (a run with an explicit ``omega=`` never needs
@@ -145,8 +131,6 @@ class OnlineResult:
     heartbeat_rounds: int
     #: Per-vehicle energies at the end of the run (home vertex -> energy).
     vehicle_energies: Dict[Point, float] = field(default_factory=dict)
-    #: Which harness driver produced the result.
-    engine: str = "events"
     #: Simulator events executed during the run (messages, arrivals, ticks).
     events_processed: int = 0
     #: Final simulation-clock time.
@@ -170,13 +154,13 @@ class OnlineResult:
     #: Logical sends that crossed a shard boundary (always 0 unsharded, and
     #: 0 in the multi-process runs, which require zero boundary traffic).
     cross_shard_messages: int = 0
-    #: Lockstep window barriers crossed (multi-process runs: one per
-    #: non-empty shard, each worker free-running in a single window).
+    #: Multi-process runs: one per non-empty shard, each worker draining its
+    #: queue once (0 otherwise).
     window_barriers: int = 0
     #: Wall-clock seconds per worker shard (multi-process runs only).
     shard_timings: Dict[int, float] = field(default_factory=dict)
-    #: How a sharded run executed: ``""`` (unsharded), ``"lockstep"``
-    #: (single-process windows), or one of the two labels of the
+    #: How a sharded run executed: ``""`` (unsharded), ``"lockstep"`` (one
+    #: process, cross-shard sends counted), or one of the two labels of the
     #: multi-process engine, which record its inputs: ``"parallel"`` (no
     #: shared RNG, failures, churn or monitoring) or ``"parallel-lockstep"``.
     shard_mode: str = ""
@@ -217,7 +201,7 @@ class OnlineResult:
         return self.max_vehicle_energy / self.omega_star
 
 
-def _empty_online_result(engine: str, transport: str = "reliable") -> OnlineResult:
+def _empty_online_result(transport: str = "reliable") -> OnlineResult:
     return OnlineResult(
         jobs_total=0,
         jobs_served=0,
@@ -234,30 +218,12 @@ def _empty_online_result(engine: str, transport: str = "reliable") -> OnlineResu
         failed_replacements=0,
         messages=0,
         heartbeat_rounds=0,
-        engine=engine,
         transport=transport,
     )
 
 
-def _serve_with_recovery(
-    fleet: Fleet,
-    config: FleetConfig,
-    job,
-    recovery_rounds: int,
-) -> bool:
-    """Round-mode service: deliver, recover via heartbeat rounds, then tick."""
-    served = fleet.deliver_job(job.position, job.energy)
-    if not served and recovery_rounds > 0 and config.monitoring:
-        for _ in range(recovery_rounds):
-            fleet.run_heartbeat_round()
-        served = fleet.retry_job(job.position, job.energy)
-    if config.monitoring:
-        fleet.run_heartbeat_round()
-    return served
-
-
 def _churn_hooks(fleet: Fleet):
-    """The leave/join callbacks both drivers feed to :func:`apply_churn`.
+    """The leave/join callbacks churn events feed to :func:`apply_churn`.
 
     Vertices that host no vehicle in this run are ignored, mirroring the
     ``dead_vehicles`` contract.
@@ -419,50 +385,6 @@ def _arrival_logic(
     return make_handler
 
 
-def _run_rounds(
-    fleet: Fleet,
-    fleet_config: FleetConfig,
-    jobs: JobSequence,
-    recovery_rounds: int,
-    churn: Sequence[ChurnSpec],
-    plan: FailurePlan,
-) -> int:
-    """The lockstep driver as a thin adapter over the event clock.
-
-    Each job becomes one *round barrier* event scheduled at the job's
-    arrival time; the barrier delivers the job, runs the recovery heartbeat
-    rounds, and settles the network to quiescence before the next barrier
-    is scheduled -- exactly the historical "deliver, settle, heartbeat"
-    sequence, so the physical outcome (energies, messages, counters) is
-    byte-identical to the pre-adapter rounds driver on failure-free runs.
-    The only difference is that the barriers now *live on the clock*: the
-    simulation time of a round-mode run advances through the jobs' arrival
-    times instead of idling near zero.
-    """
-    simulator = fleet.simulator
-    served_count = 0
-    churn_applied: Set[ChurnSpec] = set()
-    leave, join = _churn_hooks(fleet)
-
-    for job in jobs:
-        served = False
-
-        def _barrier(job=job) -> None:
-            nonlocal served
-            plan.set_time(job.time)
-            apply_churn(churn, job.time, churn_applied, leave=leave, join=join)
-            served = _serve_with_recovery(fleet, fleet_config, job, recovery_rounds)
-
-        # A message storm may already have pushed the clock past this job's
-        # arrival time; the barrier then fires immediately (the failure
-        # clock still uses job.time, as the lockstep driver always did).
-        simulator.schedule_at(max(job.time, simulator.now), _barrier, kind="round-barrier")
-        simulator.run_until_quiescent()
-        if served:
-            served_count += 1
-    return served_count
-
-
 def _run_events(
     fleet: Fleet,
     fleet_config: FleetConfig,
@@ -471,14 +393,9 @@ def _run_events(
     churn: Sequence[ChurnSpec],
     plan: FailurePlan,
     *,
-    run=None,
     foreign_times: Sequence[float] = (),
 ) -> int:
     """The event driver: arrivals and failure windows on the simulator clock.
-
-    ``run`` overrides the final drain: the sharded lockstep coordinator
-    passes a callable executing the same events through window barriers
-    (``run(simulator)`` instead of ``run_until_quiescent``).
 
     ``foreign_times`` are arrival times of jobs owned by *other* shards in
     a parallel lockstep run: each becomes a *tick* event replaying the
@@ -533,10 +450,7 @@ def _run_events(
         entries = arrival_entries
     simulator.schedule_batch(entries, kind="arrival")
 
-    if run is None:
-        simulator.run_until_quiescent()
-    else:
-        run(simulator)
+    simulator.run_until_quiescent()
     return sum(served)
 
 
@@ -634,12 +548,11 @@ def _run_online_multiprocess(
     (monitoring or timed partitions) -- the arrival times of every *other*
     shard's jobs, replayed as tick events; a failure-free run ships none
     of these (see :mod:`repro.distsim.parallel_lockstep` for the
-    structural argument).  Workers free-run through one conservative
-    window (infinite Chandy-Misra lookahead: the eligible class has zero
-    outbound boundary edges) and the merge reassembles the per-cube state
-    segments in global creation order and corrects the replicated
-    bookkeeping, so the result is byte-identical to the single-process run
-    at any worker count.  ``shard_mode`` only labels the result and picks
+    structural argument).  Each worker drains its own queue to quiescence
+    (the eligible class sends nothing across shards) and the merge
+    reassembles the per-cube state segments in global creation order and
+    corrects the replicated bookkeeping, so the result is byte-identical to
+    the single-process run at any worker count.  ``shard_mode`` only labels the result and picks
     which module name of the pool and merge to call.
     """
     base = config if config is not None else FleetConfig()
@@ -738,7 +651,6 @@ def _run_online_multiprocess(
         messages=merged["messages"],
         heartbeat_rounds=merged["heartbeat_rounds"],
         vehicle_energies=merged["vehicle_energies"],
-        engine="events",
         events_processed=merged["events"],
         sim_time=merged["sim_time"],
         transport=(
@@ -771,7 +683,6 @@ def run_online(
     dead_vehicles: Optional[Iterable[Sequence[int]]] = None,
     recovery_rounds: int = 0,
     churn: Optional[Iterable[ChurnSpec]] = None,
-    engine: str = "events",
     transport: Union[Transport, TransportSpec, str, None] = None,
     escalation: Optional[bool] = None,
     shards: int = 1,
@@ -808,9 +719,6 @@ def run_online(
         Timed :class:`~repro.distsim.failures.ChurnSpec` events (vehicles
         leaving and rejoining), expressed on the job clock.  Vertices that
         host no vehicle in this run are ignored.
-    engine:
-        ``"events"`` (the event-driven driver, the default) or ``"rounds"``
-        (the lockstep compatibility adapter; see the module docstring).
     transport:
         The message delivery model: a
         :class:`~repro.distsim.transport.Transport` instance (single-use),
@@ -830,21 +738,18 @@ def run_online(
         transport with no shared stream; see
         :func:`~repro.distsim.parallel_lockstep.parallel_lockstep_eligibility`)
         fan out to one worker process per shard; everything else runs the
-        single global fleet through lockstep window barriers, counting
-        cross-shard traffic.  ``shard_mode`` on the result records the
+        single global fleet on one clock, counting cross-shard sends.  ``shard_mode`` on the result records the
         inputs: ``"parallel"`` for a multi-process run with no shared
         RNG, failures, churn or monitoring, ``"parallel-lockstep"`` for a
         multi-process run with any of them, and ``"lockstep"`` for the
         fallback, whose first disqualifying feature is
         ``shard_mode_reason``.  The mode is logged under
-        ``repro.distsim.sharding``.  Requires ``engine="events"``.
+        ``repro.distsim.sharding``.
     shard_workers:
         Concurrency cap for the multi-process runs: ``None`` (one process
         per non-empty shard, up to the CPU count) or a positive integer.
         Results are identical at any worker count.
     """
-    if engine not in ONLINE_ENGINES:
-        raise ValueError(f"engine must be one of {ONLINE_ENGINES}, got {engine!r}")
     if not isinstance(shards, int) or isinstance(shards, bool) or shards < 1:
         raise ValueError(f"shards must be a positive integer, got {shards!r}")
     if shard_workers is not None and (
@@ -855,12 +760,10 @@ def run_online(
         raise ValueError(
             f"shard_workers must be None or a positive integer, got {shard_workers!r}"
         )
-    if shards > 1 and engine != "events":
-        raise ValueError("sharded runs require engine='events'")
     transport_instance = build_transport(transport)
     if len(jobs) == 0:
         kind = transport_instance.kind if transport_instance is not None else "reliable"
-        return _empty_online_result(engine, kind)
+        return _empty_online_result(kind)
 
     memo = _omega_memo_entry(jobs)
     if "demand" not in memo:
@@ -947,60 +850,20 @@ def run_online(
     )
 
     monitor: Optional[ShardMonitor] = None
-    barrier_count = 0
     if shards > 1:
-        # Lockstep mode: one global fleet, advanced through conservative
-        # time windows; cross-shard sends are ledgered and exchanged at
-        # each barrier.  The executed event order is untouched, so every
-        # physical result byte matches the unsharded run.
+        # Lockstep mode: one global fleet on one clock; every logical send
+        # is classified against the cube shard plan and the cross-shard
+        # ones counted.  Counting is observational, so every physical
+        # result byte matches the unsharded run.
         shard_plan = ShardPlan(
             fleet.hierarchy, shards, cubes=list(fleet.flat.cube_id_of)
         )
-        mailbox = ShardMailbox()
-        monitor = ShardMonitor(
-            shard_plan, fleet.cube_grid.cube_index, fleet.simulator, mailbox
-        )
+        monitor = ShardMonitor(shard_plan, fleet.cube_grid.cube_index)
         fleet.network.shard_monitor = monitor
-        # The window floor comes from actual cross-shard edge latencies
-        # when the transport is a pure edge function (probing a
-        # stream-coupled transport would consume shared draws); otherwise
-        # from the transport's global min_latency / message-delay fallback.
-        # Lockstep windows are observational -- execution order never
-        # depends on them -- so the sampled floor is always safe here.
-        bound_transport = fleet.network.transport
-        probes = None
-        if bound_transport is not None and bound_transport.shardable:
-            probes = cross_shard_edge_latencies(
-                bound_transport, shard_plan, fleet._cube_members.get
-            )
-        window_length = lockstep_window(
-            bound_transport, fleet_config.message_delay, edge_latencies=probes
-        )
 
-        def _lockstep_run(simulator) -> None:
-            nonlocal barrier_count
-            # Adaptive conservative windows: each barrier sits one full
-            # lookahead past the pending frontier instead of on the fixed
-            # W-grid, so quiet stretches cross one barrier, not one per
-            # grid cell.
-            _executed, barrier_count = run_lockstep(
-                simulator, window_length, mailbox=mailbox, horizon=window_length
-            )
-
-        served_count = _run_events(
-            fleet,
-            fleet_config,
-            jobs,
-            recovery_rounds,
-            churn_events,
-            fleet.failure_plan,
-            run=_lockstep_run,
-        )
-    else:
-        driver = _run_events if engine == "events" else _run_rounds
-        served_count = driver(
-            fleet, fleet_config, jobs, recovery_rounds, churn_events, fleet.failure_plan
-        )
+    served_count = _run_events(
+        fleet, fleet_config, jobs, recovery_rounds, churn_events, fleet.failure_plan
+    )
 
     return OnlineResult(
         jobs_total=len(jobs),
@@ -1019,7 +882,6 @@ def run_online(
         messages=fleet.messages_sent(),
         heartbeat_rounds=fleet.stats.heartbeat_rounds,
         vehicle_energies=fleet.vehicle_energies(),
-        engine=engine,
         events_processed=fleet.simulator.events_processed,
         sim_time=fleet.simulator.now,
         transport=fleet.transport_kind,
@@ -1031,7 +893,6 @@ def run_online(
         adoptions=fleet.stats.adoptions,
         shards=shards,
         cross_shard_messages=monitor.cross_shard if monitor is not None else 0,
-        window_barriers=barrier_count,
         shard_mode=shard_mode,
         shard_mode_reason=shard_mode_reason,
         monitoring_mode=(

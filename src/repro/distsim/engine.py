@@ -9,18 +9,10 @@ sequence of ``schedule`` calls: no wall-clock or hash-order nondeterminism
 leaks into protocol executions, which keeps the online experiments
 reproducible and the property-based tests meaningful.
 
-Two execution styles are supported:
-
-* **event mode** (``run`` / ``run_until_quiescent``): events execute
-  strictly in timestamp order, the clock jumping from event to event.
-  This is the primary mode; timed arrivals, heartbeat ticks, partition
-  windows and churn all ride on the same queue.
-* **round compatibility mode** (``run_round`` / ``run_rounds``): time is
-  consumed in fixed-length windows, each window draining every event that
-  falls inside it before the clock advances to the next boundary.  This
-  reproduces the historical lockstep "settle everything, then tick"
-  behavior; on failure-free runs the two modes execute the same events in
-  the same order (asserted by the conformance tests).
+Events execute strictly in timestamp order, the clock jumping from event
+to event (``run`` / ``run_until_quiescent``); timed arrivals, heartbeat
+ticks, partition windows, churn and protocol messages all ride on the same
+queue.
 """
 
 from __future__ import annotations
@@ -135,7 +127,7 @@ class Simulator:
         return self.queue.push_many_at(time, actions, kind=kind)
 
     # ------------------------------------------------------------------ #
-    # event-mode execution
+    # execution
     # ------------------------------------------------------------------ #
 
     def step(self) -> bool:
@@ -182,35 +174,6 @@ class Simulator:
             self.clock.advance(until)
         return executed
 
-    def run_window(self, until: float, *, max_events: Optional[int] = None) -> int:
-        """Run every event with ``time <= until`` without padding the clock.
-
-        Identical to ``run(until=until)`` except that when the queue drains
-        before the bound, the clock stays at the *last executed event*
-        instead of jumping to ``until``.  This is the primitive the sharded
-        lockstep coordinator advances windows with: a barrier must not
-        disturb ``sim_time`` (the final clock reading is part of the
-        byte-identity contract), so empty tail time inside a window is
-        never consumed.
-        """
-        executed = 0
-        queue = self.queue
-        stats = queue.stats
-        while True:
-            limit = None if max_events is None else max_events - executed
-            batch = queue.pop_batch(until=until, limit=limit)
-            if not batch:
-                break
-            self.clock.advance(batch[0].time)
-            for event in batch:
-                if event.cancelled:
-                    stats.cancelled_skipped += 1
-                    continue
-                stats.executed += 1
-                executed += 1
-                event.action()
-        return executed
-
     def run_until_quiescent(self, *, max_events: int = 10_000_000) -> int:
         """Run until no events remain; guards against runaway protocols."""
         executed = self.run(max_events=max_events)
@@ -219,39 +182,4 @@ class Simulator:
                 f"simulation did not quiesce within {max_events} events "
                 f"({self.pending} still pending)"
             )
-        return executed
-
-    # ------------------------------------------------------------------ #
-    # round compatibility mode
-    # ------------------------------------------------------------------ #
-
-    def run_round(self, *, round_length: float = 1.0, max_events: int = 10_000_000) -> int:
-        """Drain one fixed-length round: every event up to ``now + round_length``.
-
-        Events scheduled *during* the round that still fall inside the
-        window are executed too (the round "settles"); afterwards the clock
-        sits exactly on the round boundary.  Returns the number of events
-        executed.  When ``max_events`` truncates the round, the clock stays
-        at the last executed event (events inside the window are still
-        pending, so jumping to the boundary would strand them in the past);
-        the round is then incomplete and can be resumed by calling again.
-        """
-        if round_length <= 0:
-            raise ValueError(f"round_length must be positive, got {round_length}")
-        boundary = self.now + round_length
-        executed = self.run(until=boundary, max_events=max_events)
-        next_time = self.queue.next_time()
-        if self.now < boundary and (next_time is None or next_time > boundary):
-            self.clock.advance(boundary)
-        return executed
-
-    def run_rounds(
-        self, rounds: int, *, round_length: float = 1.0, max_events: int = 10_000_000
-    ) -> int:
-        """Execute ``rounds`` consecutive fixed-length rounds (compatibility mode)."""
-        if rounds < 0:
-            raise ValueError(f"rounds must be non-negative, got {rounds}")
-        executed = 0
-        for _ in range(rounds):
-            executed += self.run_round(round_length=round_length, max_events=max_events)
         return executed

@@ -17,8 +17,7 @@ scenarios 1--3; this module carries the knobs:
   window is active;
 * timed **churn** (:class:`ChurnSpec`) makes vehicles leave (break down)
   and later rejoin (be repaired); the schedule is declarative and applied
-  by the run harness, in round mode at job boundaries and in event mode as
-  scheduled simulator events.
+  by the run harness as scheduled simulator events.
 
 The *failure clock* is the job clock of the workload: job ``k`` of a
 :class:`~repro.core.demand.JobSequence` arrives at time ``k + 1``, so
@@ -217,9 +216,10 @@ def apply_churn(
 ) -> None:
     """Apply every not-yet-applied churn event with ``event.time <= time``.
 
-    Shared by the round-mode and event-mode harnesses so both consume a
-    churn schedule identically (in ``(time, vertex)`` order).  ``applied``
-    is the caller-owned memory of already-executed events.
+    Each scheduled churn event calls this, so batch, streaming and resumed
+    runs consume a churn schedule identically (in ``(time, vertex)``
+    order).  ``applied`` is the caller-owned memory of already-executed
+    events.
     """
     due = sorted(
         (e for e in events if e.time <= time and e not in applied),

@@ -12,11 +12,10 @@ and the failure modes below are the rest:
   the fleet builds no hierarchical watch ring: heartbeats flow between
   cube-local watch pairs, Phase I/II replacement is intra-cube, and the
   engaged-set round tick touches only local vehicles.  Every logical send
-  therefore stays inside the cube that owns both endpoints, so the
-  cross-shard mailbox is provably empty and each shard's Chandy-Misra
-  lookahead (local clock + minimum *outbound* boundary-edge latency) is
-  infinite: the conservative window is unbounded and each worker
-  free-runs to quiescence through a single window barrier.
+  therefore stays inside the cube that owns both endpoints, so no message
+  ever crosses a shard boundary and each worker drains its own queue to
+  quiescence with nothing to exchange: a synchronizer earns its barriers
+  only when messages cross them.
 * **Crashes, initiation suppression, partitions, churn.**  The
   :class:`~repro.distsim.failures.FailurePlan` is declarative (sets of
   identities, timed partition windows, churn specs), so it partitions by
@@ -45,8 +44,8 @@ Everything outside the class -- escalation (replacement migrates vehicles
 precomputed per shard), shared-RNG transports, closure drop rules -- is
 rejected by :func:`parallel_lockstep_eligibility` with the first
 disqualifying feature as a human-readable reason, and ``run_online`` falls
-back to the single-process lockstep mode, which is exact for every
-configuration.  The reason is recorded on the result (and logged), so
+back to the single-process ``lockstep`` mode (one global fleet on one
+clock, cross-shard sends counted), which is exact for every configuration.  The reason is recorded on the result (and logged), so
 bench numbers can't silently be misread as parallel.
 
 Workers verify the zero-boundary-traffic claim at runtime: an

@@ -177,17 +177,6 @@ class Transport:
         """
         return False
 
-    def min_latency(self) -> float:
-        """A lower bound on the delay of any message this transport carries.
-
-        The sharded coordinator derives its conservative window length from
-        this bound: a message sent inside a window ``[kW, (k+1)W)`` with
-        ``W <= min_latency`` cannot be delivered before the next window
-        barrier, so exchanging boundary traffic at barriers preserves the
-        global delivery order.  The base transport is instantaneous.
-        """
-        return 0.0
-
     # ------------------------------------------------------------------ #
     # delivery scheduling
     # ------------------------------------------------------------------ #
@@ -325,9 +314,6 @@ class ReliableTransport(Transport):
         # anything (including shared state), so it stays off the shard path.
         return type(self) is ReliableTransport and not callable(self.delay)
 
-    def min_latency(self) -> float:
-        return 0.0 if callable(self.delay) else float(self.delay)
-
 
 def _edge_unit(seed: int, sender: Hashable, destination: Hashable) -> float:
     """A deterministic uniform-ish value in ``[0, 1)`` per directed edge.
@@ -393,9 +379,6 @@ class LatencyTransport(Transport):
     def shardable(self) -> bool:
         return True  # pure edge function: no stream consumed
 
-    def min_latency(self) -> float:
-        return self.delay
-
 
 class DistanceLatencyTransport(Transport):
     """Delay growing linearly with the lattice distance between endpoints.
@@ -444,9 +427,6 @@ class DistanceLatencyTransport(Transport):
     @property
     def shardable(self) -> bool:
         return True  # pure edge function: no stream consumed
-
-    def min_latency(self) -> float:
-        return self.delay
 
 
 class LossyTransport(Transport):
@@ -508,12 +488,6 @@ class LossyTransport(Transport):
     @property
     def shardable(self) -> bool:
         return self.stream == "edge"  # per-edge streams: no cross-edge coupling
-
-    def min_latency(self) -> float:
-        # In global mode the loss stream is consumed in global send order
-        # (not shardable), but the lockstep coordinator still windows on
-        # the delay floor either way.
-        return self.delay
 
 
 class CorruptingTransport(Transport):
@@ -629,9 +603,6 @@ class CorruptingTransport(Transport):
     def shardable(self) -> bool:
         return self.stream == "edge"  # per-edge streams: no cross-edge coupling
 
-    def min_latency(self) -> float:
-        return self.delay
-
 
 class RetransmitTransport(Transport):
     """Per-message ack/retransmission wrapper around any inner transport.
@@ -721,9 +692,6 @@ class RetransmitTransport(Transport):
         # adds no send-order coupling of its own.
         return self.inner.shardable
 
-    def min_latency(self) -> float:
-        return self.inner.min_latency()
-
 
 class RandomJitterTransport(Transport):
     """The historical randomized-delay model: uniform on ``[d/2, 3d/2]``.
@@ -746,9 +714,6 @@ class RandomJitterTransport(Transport):
 
     def latency(self, sender: Hashable, destination: Hashable, message: Any) -> float:
         return float(self._rng.uniform(self.delay / 2, 3 * self.delay / 2))
-
-    def min_latency(self) -> float:
-        return self.delay / 2  # uniform on [d/2, 3d/2]; never shardable
 
 
 # --------------------------------------------------------------------------- #

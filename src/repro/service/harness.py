@@ -39,7 +39,7 @@ import numpy as np
 from repro.api.service import ServiceConfig, ServiceResult
 from repro.core.omega import omega_c, omega_star_cubes
 from repro.core.online import provision_fleet
-from repro.distsim.sharding import ShardMailbox, ShardMonitor, ShardPlan
+from repro.distsim.sharding import ShardMonitor, ShardPlan
 from repro.distsim.transport import build_transport
 from repro.service.checkpoint import (
     EVENT_STATS,
@@ -168,14 +168,12 @@ def run_service(
         )
         # The streaming driver already serializes execution on one clock, so
         # sharding a service run is pure observation: classify every send
-        # against the cube shard plan and ledger the boundary traffic.  The
+        # against the cube shard plan and count the boundary traffic.  The
         # physical run -- and hence result_hash/fleet_digest -- is untouched.
         shard_plan = ShardPlan(
             fleet.hierarchy, config.shards, cubes=list(fleet.flat.cube_id_of)
         )
-        shard_monitor = ShardMonitor(
-            shard_plan, fleet.cube_grid.cube_index, fleet.simulator, ShardMailbox()
-        )
+        shard_monitor = ShardMonitor(shard_plan, fleet.cube_grid.cube_index)
         fleet.network.shard_monitor = shard_monitor
 
     metrics_handle: Optional[TextIO] = None
@@ -200,15 +198,9 @@ def run_service(
         start = restore_checkpoint(snapshot, fleet, rng=rng, recorder=recorder)
         jobs = itertools.islice(iter(jobs), start.consumed, None)
 
-    progress = {"checkpoints": 0, "checkpoint_due": False, "barriers": 0}
+    progress = {"checkpoints": 0, "checkpoint_due": False}
 
     def control(driver: StreamDriver) -> None:
-        if shard_monitor is not None:
-            # The driver pauses at an exact inter-arrival boundary here, so
-            # this is the service run's window barrier: exchange (drain) the
-            # boundary ledger, keeping its memory bounded on infinite streams.
-            if shard_monitor.mailbox.drain_until(fleet.simulator.now):
-                progress["barriers"] += 1
         closed = recorder.maybe_close_window(force=driver.finished)
         if closed is not None:
             store.log_event(
@@ -359,7 +351,6 @@ def run_service(
         cross_shard_messages=(
             shard_monitor.cross_shard if shard_monitor is not None else 0
         ),
-        window_barriers=progress["barriers"],
         monitoring_mode=(
             "gossip"
             if fleet.config.monitoring == "gossip"

@@ -705,12 +705,13 @@ class Fleet:
 
         Returns whether the job was actually served.  The caller decides how
         to handle a refusal (retry after recovery rounds, or count it as
-        unserved).  With ``settle=True`` (the round-mode default) the network
-        is drained before returning -- the thesis assumes inter-arrival gaps
-        long enough for any protocol activity (Phase I/II) to complete.  The
-        event-mode harness passes ``settle=False`` and lets the shared
-        simulator process protocol messages in timestamp order between
-        arrival events instead.  ``pair_key`` short-circuits routing with a
+        unserved).  With ``settle=True`` (the default, for callers driving
+        the fleet one job at a time) the network is drained before
+        returning -- the thesis assumes inter-arrival gaps long enough for
+        any protocol activity (Phase I/II) to complete.  The event driver
+        passes ``settle=False`` and lets the shared simulator process
+        protocol messages in timestamp order between arrival events
+        instead.  ``pair_key`` short-circuits routing with a
         pre-resolved pair (see :meth:`route_positions`).
         """
         self.stats.jobs_delivered += 1

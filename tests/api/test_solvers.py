@@ -77,6 +77,29 @@ def test_online_broken_records_failure_counts(tiny_scenario):
     assert result.feasible
 
 
+def test_online_reports_the_events_engine(tiny_scenario):
+    plain = _run("online", tiny_scenario)
+    spelled = _run("online", tiny_scenario, params={"engine": "events"})
+    assert plain.extra("engine") == spelled.extra("engine") == "events"
+    # Spelling out the one driver changes the config, never the outcome.
+    assert spelled.extras_dict() == plain.extras_dict()
+    assert spelled.max_vehicle_energy == plain.max_vehicle_energy
+    assert spelled.jobs_served == plain.jobs_served
+
+
+@pytest.mark.parametrize("solver", ["online", "online-broken"])
+@pytest.mark.parametrize("engine", ["rounds", "warp"])
+def test_online_unknown_engine_rejected(solver, engine, tiny_scenario):
+    config = RunConfig(
+        solver=solver,
+        scenario=tiny_scenario,
+        params={"engine": engine},
+        failures=FailureSpec(crashed=((5, 5),)),
+    )
+    with pytest.raises(ConfigError, match="engine"):
+        get_solver(solver)(config)
+
+
 def test_transfer_line_mode_matches_closed_form():
     demand = DemandMap({(x, 0): 2.0 for x in range(6)})
     scenario = ScenarioSpec.from_demand(demand, name="line6")

@@ -1,8 +1,7 @@
-"""Conformance tests for the event core and the two online drivers.
+"""Conformance tests for the event core and the online event driver.
 
-Covers the three properties the ISSUE pins down: deterministic event
-ordering, clock monotonicity, and round-mode vs event-mode equivalence of
-the online harness on failure-free runs.
+Covers deterministic event ordering, clock monotonicity, and the event
+driver's clock, determinism and timed-failure behavior.
 """
 
 from __future__ import annotations
@@ -120,18 +119,29 @@ class TestSimulatorClockMonotonicity:
         assert sim.stats.executed == sim.events_processed == 5
 
 
-class TestRoundCompatibilityMode:
-    def test_run_round_drains_exactly_one_window(self):
+class TestRunUntilWindows:
+    """``Simulator.run(until=)``: the bounded drain the streaming driver uses."""
+
+    def test_run_until_drains_exactly_one_window(self):
         sim = Simulator()
         fired = []
         for delay in (0.25, 0.75, 1.5):
             sim.schedule(delay, lambda d=delay: fired.append(d))
-        executed = sim.run_round(round_length=1.0)
+        executed = sim.run(until=1.0)
         assert executed == 2
         assert fired == [0.25, 0.75]
-        assert sim.now == 1.0
+        assert sim.now == 0.75  # events remain, so the clock stays put
+        assert sim.pending == 1
 
-    def test_events_scheduled_inside_a_round_settle_within_it(self):
+    def test_event_at_the_bound_runs_in_that_window(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule_at(1.0, lambda: fired.append(1.0))
+        sim.schedule_at(1.0 + 1e-9, lambda: fired.append("later"))
+        assert sim.run(until=1.0) == 1
+        assert fired == [1.0]
+
+    def test_events_scheduled_inside_a_window_settle_within_it(self):
         sim = Simulator()
         fired = []
 
@@ -140,10 +150,11 @@ class TestRoundCompatibilityMode:
             sim.schedule(0.1, lambda: fired.append("second"))
 
         sim.schedule(0.5, cascade)
-        sim.run_round(round_length=1.0)
+        sim.run(until=1.0)
         assert fired == ["first", "second"]
+        assert sim.now == 1.0  # drained early: the clock moves to the bound
 
-    def test_run_rounds_equals_one_event_mode_run(self):
+    def test_successive_windows_equal_one_quiescent_run(self):
         def build():
             sim = Simulator()
             log = []
@@ -151,31 +162,43 @@ class TestRoundCompatibilityMode:
                 sim.schedule(delay, lambda d=delay: log.append(d))
             return sim, log
 
-        event_sim, event_log = build()
-        event_sim.run_until_quiescent()
-        round_sim, round_log = build()
-        round_sim.run_rounds(4, round_length=1.0)
-        assert round_log == event_log
-        assert round_sim.events_processed == event_sim.events_processed
+        whole, whole_log = build()
+        whole.run_until_quiescent()
+        windowed, windowed_log = build()
+        for bound in (1.0, 2.0, 3.0, 4.0):
+            windowed.run(until=bound)
+        assert windowed_log == whole_log
+        assert windowed.events_processed == whole.events_processed
+        assert windowed.pending == 0
 
-    def test_invalid_round_parameters_raise(self):
-        sim = Simulator()
-        with pytest.raises(ValueError, match="round_length"):
-            sim.run_round(round_length=0.0)
-        with pytest.raises(ValueError, match="rounds"):
-            sim.run_rounds(-1)
-
-    def test_truncated_round_leaves_clock_resumable(self):
+    def test_truncated_window_leaves_clock_resumable(self):
         """max_events truncation must not advance past pending events."""
         sim = Simulator()
         fired = []
         for delay in (0.1, 0.2, 0.6):
             sim.schedule(delay, lambda d=delay: fired.append(d))
-        sim.run_round(round_length=1.0, max_events=1)
+        sim.run(until=1.0, max_events=1)
         assert fired == [0.1]
-        assert sim.now == 0.1  # not the boundary: events are still pending
-        sim.run_round(round_length=1.0)
+        assert sim.now == 0.1  # not the bound: events are still pending
+        sim.run(until=1.0)
         assert fired == [0.1, 0.2, 0.6]
+        assert sim.now == 1.0
+
+    def test_idle_window_advances_clock_to_bound(self):
+        sim = Simulator()
+        assert sim.run(until=3.0) == 0
+        assert sim.now == 3.0
+
+    def test_earlier_bound_never_rewinds_the_clock(self):
+        sim = Simulator()
+        sim.schedule_at(6.0, lambda: None)
+        sim.run(until=5.0)
+        assert sim.now == 0.0
+        sim.schedule_at(5.0, lambda: None)
+        sim.run(until=5.0)
+        assert sim.now == 5.0
+        assert sim.run(until=2.0) == 0
+        assert sim.now == 5.0 and sim.pending == 1
 
 
 def _result_fingerprint(result):
@@ -192,60 +215,59 @@ def _result_fingerprint(result):
     )
 
 
-class TestRoundVsEventModeEquivalence:
-    """On failure-free runs the two drivers must agree exactly."""
-
-    @pytest.mark.parametrize("monitoring", [False, True])
-    def test_square_workload_identical(self, monitoring):
-        jobs = random_arrivals(square_demand(5, 3.0), np.random.default_rng(0))
-        config = FleetConfig(monitoring=monitoring)
-        rounds = run_online(
-            jobs, config=config, rng=np.random.default_rng(7), engine="rounds"
-        )
-        events = run_online(
-            jobs, config=config, rng=np.random.default_rng(7), engine="events"
-        )
-        assert _result_fingerprint(rounds) == _result_fingerprint(events)
-        assert rounds.engine == "rounds"
-        assert events.engine == "events"
-
-    def test_clustered_workload_with_tight_capacity_identical(self):
-        demand = clustered_demand(Box.cube((0, 0), 10), 3, 20, np.random.default_rng(1))
-        jobs = random_arrivals(demand, np.random.default_rng(2))
-        rounds = run_online(jobs, capacity=9.0, omega=2.0, engine="rounds")
-        events = run_online(jobs, capacity=9.0, omega=2.0, engine="events")
-        assert _result_fingerprint(rounds) == _result_fingerprint(events)
-
+class TestEventDriver:
     def test_event_mode_clock_reaches_last_arrival(self):
         jobs = random_arrivals(square_demand(3, 2.0), np.random.default_rng(0))
-        result = run_online(jobs, engine="events")
-        assert result.sim_time >= float(len(jobs))
-        assert result.events_processed >= len(jobs)
-
-    def test_events_is_the_default_engine(self):
-        jobs = random_arrivals(square_demand(3, 2.0), np.random.default_rng(0))
         result = run_online(jobs)
-        assert result.engine == "events"
-
-    def test_round_mode_barriers_live_on_the_clock(self):
-        """engine="rounds" is an adapter over the event clock: each job is a
-        round-barrier event, so the simulation time advances through the
-        arrival times instead of idling near zero."""
-        jobs = random_arrivals(square_demand(3, 2.0), np.random.default_rng(0))
-        result = run_online(jobs, engine="rounds")
         assert result.sim_time >= float(len(jobs))
         assert result.events_processed >= len(jobs)
 
     def test_event_mode_is_deterministic(self):
         jobs = random_arrivals(square_demand(4, 2.0), np.random.default_rng(3))
-        first = run_online(jobs, engine="events", rng=np.random.default_rng(11))
-        second = run_online(jobs, engine="events", rng=np.random.default_rng(11))
+        first = run_online(jobs, rng=np.random.default_rng(11))
+        second = run_online(jobs, rng=np.random.default_rng(11))
         assert _result_fingerprint(first) == _result_fingerprint(second)
 
-    def test_unknown_engine_rejected(self):
+    @pytest.mark.parametrize("monitoring", [False, True])
+    def test_square_workload_served_on_the_clock(self, monitoring):
+        jobs = random_arrivals(square_demand(5, 3.0), np.random.default_rng(0))
+        config = FleetConfig(monitoring=monitoring)
+        first = run_online(jobs, config=config, rng=np.random.default_rng(7))
+        second = run_online(jobs, config=config, rng=np.random.default_rng(7))
+        assert _result_fingerprint(first) == _result_fingerprint(second)
+        assert first.feasible and first.jobs_served == len(jobs) == 75
+        assert first.max_vehicle_energy == 3.0
+        assert first.sim_time == float(len(jobs))
+        # One heartbeat round per arrival when monitoring, none otherwise.
+        assert first.heartbeat_rounds == (len(jobs) if monitoring else 0)
+
+    def test_monitoring_is_inert_on_failure_free_runs(self):
+        jobs = random_arrivals(square_demand(5, 3.0), np.random.default_rng(0))
+        quiet, watched = (
+            run_online(
+                jobs,
+                config=FleetConfig(monitoring=monitoring),
+                rng=np.random.default_rng(7),
+            )
+            for monitoring in (False, True)
+        )
+        assert _result_fingerprint(quiet) == _result_fingerprint(watched)
+
+    def test_clustered_workload_with_tight_capacity_replaces_once(self):
+        demand = clustered_demand(Box.cube((0, 0), 10), 3, 20, np.random.default_rng(1))
+        jobs = random_arrivals(demand, np.random.default_rng(2))
+        result = run_online(jobs, capacity=9.0, omega=2.0)
+        assert result.feasible and result.jobs_served == len(jobs) == 60
+        assert (result.replacements, result.searches) == (1, 1)
+        assert result.max_vehicle_energy == 8.0
+        assert _result_fingerprint(result) == _result_fingerprint(
+            run_online(jobs, capacity=9.0, omega=2.0)
+        )
+
+    def test_run_online_takes_no_engine_argument(self):
         jobs = random_arrivals(square_demand(2, 1.0), np.random.default_rng(0))
-        with pytest.raises(ValueError, match="engine"):
-            run_online(jobs, engine="warp")
+        with pytest.raises(TypeError, match="engine"):
+            run_online(jobs, engine="events")
 
 
 class TestTimedFailures:
@@ -275,12 +297,11 @@ class TestTimedFailures:
     def test_churn_schedule_changes_a_run(self):
         demand = square_demand(4, 3.0)
         jobs = random_arrivals(demand, np.random.default_rng(0))
-        quiet = run_online(jobs, capacity=20.0, omega=2.0, engine="events")
+        quiet = run_online(jobs, capacity=20.0, omega=2.0)
         churned = run_online(
             jobs,
             capacity=20.0,
             omega=2.0,
-            engine="events",
             churn=[ChurnSpec(time=1.0, vertex=v, action="leave") for v in demand.support()],
         )
         assert quiet.feasible
@@ -292,51 +313,52 @@ class TestTimedFailures:
         churn = [
             ChurnSpec(time=1.0, vertex=v, action="leave") for v in demand.support()
         ] + [ChurnSpec(time=5.0, vertex=v, action="join") for v in demand.support()]
-        partial = run_online(jobs, capacity=20.0, omega=2.0, engine="events", churn=churn)
+        partial = run_online(jobs, capacity=20.0, omega=2.0, churn=churn)
         all_gone = run_online(
             jobs,
             capacity=20.0,
             omega=2.0,
-            engine="events",
             churn=[ChurnSpec(time=1.0, vertex=v, action="leave") for v in demand.support()],
         )
         assert partial.jobs_served > all_gone.jobs_served
+
+    def test_mid_run_leave_freezes_the_departed_vehicle(self):
+        demand = square_demand(4, 3.0)
+        jobs = random_arrivals(demand, np.random.default_rng(0))
+        vertex = demand.support()[0]
+        churn = [ChurnSpec(time=7.0, vertex=vertex, action="leave")]
+        quiet = run_online(jobs, capacity=20.0, omega=2.0)
+        churned = run_online(jobs, capacity=20.0, omega=2.0, churn=churn)
+        assert (quiet.jobs_served, churned.jobs_served) == (48, 44)
+        # The vehicle keeps the energy it drew before t=7 and no more.
+        assert quiet.vehicle_energies[vertex] == 11.0
+        assert churned.vehicle_energies[vertex] == 4.0
+        assert _result_fingerprint(churned) == _result_fingerprint(
+            run_online(jobs, capacity=20.0, omega=2.0, churn=churn)
+        )
 
     def test_event_driver_recovery_installs_replacement_before_retry(self):
         """Recovery heartbeats must run on the clock ahead of the retry.
 
         Six jobs hit one point whose active vehicle goes done but is
-        initiation-suppressed; only the monitoring loop can replace it.
-        The event driver must serve everything the round driver serves.
+        initiation-suppressed; only the monitoring loop can replace it, so
+        every job is served only if recovery runs before the retry.
         """
         from repro.core.demand import JobSequence
 
         jobs = JobSequence.from_positions([(0, 0)] * 6)
-        results = {}
-        for engine in ("rounds", "events"):
-            plan = FailurePlan()
-            plan.suppress_initiation((0, 0))
-            results[engine] = run_online(
-                jobs,
-                capacity=4.0,
-                omega=2.0,
-                config=FleetConfig(monitoring=True),
-                failure_plan=plan,
-                recovery_rounds=4,
-                engine=engine,
-            )
-        assert results["rounds"].feasible
-        assert results["events"].feasible
-        assert results["events"].jobs_served == results["rounds"].jobs_served
-        assert results["events"].replacements >= 1
-
-    def test_churn_applies_identically_in_both_drivers(self):
-        demand = square_demand(4, 3.0)
-        jobs = random_arrivals(demand, np.random.default_rng(0))
-        churn = [ChurnSpec(time=7.0, vertex=demand.support()[0], action="leave")]
-        rounds = run_online(jobs, capacity=20.0, omega=2.0, engine="rounds", churn=churn)
-        events = run_online(jobs, capacity=20.0, omega=2.0, engine="events", churn=churn)
-        assert _result_fingerprint(rounds) == _result_fingerprint(events)
+        plan = FailurePlan()
+        plan.suppress_initiation((0, 0))
+        result = run_online(
+            jobs,
+            capacity=4.0,
+            omega=2.0,
+            config=FleetConfig(monitoring=True),
+            failure_plan=plan,
+            recovery_rounds=4,
+        )
+        assert result.feasible
+        assert result.replacements >= 1
 
 
 class TestCalendarQueueBatching:

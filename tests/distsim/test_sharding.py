@@ -3,30 +3,18 @@
 Covers the pieces the determinism property tests build on:
 
 * ``ShardPlan`` -- every occupied cube assigned to exactly one shard,
-  shard regions contiguous in ancestor order, boundary detection matching
-  a brute-force sibling-ring sweep, and the level heuristic.
-* ``ShardMailbox`` -- (timestamp, sequence) ordering and prefix drains.
+  shard regions contiguous in ancestor order, the level heuristic, and
+  the vectorized grouping against a per-cube ``ancestor()`` walk.
 * ``ShardMonitor`` -- intra/cross classification through home cubes.
-* ``lockstep_window`` -- transport-latency-driven window selection.
-* ``run_lockstep`` -- executes exactly the events ``run_until_quiescent``
-  would, in exactly the same order, while counting window barriers.
+* ``merge_shard_results`` -- counter sums, replicated maxima, and one
+  drain per worker result.
 """
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
-from repro.distsim.engine import Simulator
-from repro.distsim.sharding import (
-    ShardMailbox,
-    ShardMonitor,
-    ShardPlan,
-    lockstep_window,
-    run_lockstep,
-)
-from repro.distsim.transport import TransportSpec, build_transport
+from repro.distsim.sharding import ShardMonitor, ShardPlan, merge_shard_results
 from repro.grid.cubes import CubeGrid, CubeHierarchy
 from repro.grid.lattice import Box
 
@@ -80,26 +68,6 @@ class TestShardPlan:
             plan.shard_of((3, 3))
         assert plan.shard_of_or((3, 3), default=7) == 7
 
-    def test_boundary_cubes_match_bruteforce_sibling_rings(self):
-        hierarchy = make_hierarchy()
-        plan = ShardPlan(hierarchy, 4)
-        for level in (1, 2):
-            expected = []
-            for index in plan.cubes:
-                own = plan.shard_of(index)
-                ring = hierarchy.siblings(index, level)
-                if any(
-                    plan.shard_of_or(s, own) != own
-                    for s in ring
-                    if s in set(plan.cubes)
-                ):
-                    expected.append(index)
-            assert list(plan.boundary_cubes(level=level)) == expected
-
-    def test_boundary_is_empty_for_single_shard(self):
-        plan = ShardPlan(make_hierarchy(), 1)
-        assert plan.boundary_cubes() == ()
-
     def test_more_shards_than_cubes_leaves_empties(self):
         hierarchy = make_hierarchy()
         plan = ShardPlan(hierarchy, 3, cubes=[(0, 0), (1, 1)])
@@ -122,36 +90,59 @@ class TestShardPlan:
         assert [a.cubes_of(s) for s in range(2)] == [b.cubes_of(s) for s in range(2)]
 
 
-class TestShardMailbox:
-    def test_sequence_is_the_same_time_tiebreak(self):
-        mailbox = ShardMailbox()
-        mailbox.post(2.0, 0, 1, "b")
-        mailbox.post(1.0, 1, 0, "a")
-        mailbox.post(2.0, 1, 0, "c")
-        drained = mailbox.drain_until(2.0)
-        assert [(entry[0], entry[1]) for entry in drained] == [
-            (2.0, 0),
-            (1.0, 1),
-            (2.0, 2),
+def scalar_groups(hierarchy, cubes, level):
+    """Reference grouping: one ``ancestor()`` call per cube."""
+    groups = {}
+    for index in sorted(cubes):
+        groups.setdefault(hierarchy.ancestor(index, level), []).append(index)
+    return [groups[ancestor] for ancestor in sorted(groups)]
+
+
+def scalar_level(hierarchy, cubes, shards):
+    """Reference level heuristic over scalar ancestor-group counts."""
+    fallback = 0
+    for level in range(hierarchy.levels, -1, -1):
+        count = len({hierarchy.ancestor(index, level) for index in cubes})
+        if count >= 4 * shards:
+            return level
+        if count >= shards and fallback == 0:
+            fallback = level
+    return fallback
+
+
+class TestShardPlanMatchesScalarAncestors:
+    """The vectorized ``ancestors_array`` path equals a per-cube walk."""
+
+    @pytest.mark.parametrize("shards", [1, 2, 4, 8])
+    def test_groups_match_scalar_ancestor_walk(self, shards):
+        hierarchy = make_hierarchy()
+        plan = ShardPlan(hierarchy, shards)
+        cubes = list(plan.cubes)
+        assert ShardPlan._group_members(hierarchy, cubes, plan.level) == scalar_groups(
+            hierarchy, cubes, plan.level
+        )
+
+    @pytest.mark.parametrize("dim, extent", [(1, 60), (2, 24), (3, 12)])
+    def test_level_matches_scalar_group_counts(self, dim, extent):
+        hierarchy = make_hierarchy(extent=extent, dim=dim)
+        cubes = [index for index, _box in hierarchy.grid.cubes()]
+        for shards in (1, 2, 3, 5):
+            assert ShardPlan(hierarchy, shards).level == scalar_level(
+                hierarchy, cubes, shards
+            )
+
+    def test_sparse_plan_shards_are_unions_of_scalar_groups(self):
+        hierarchy = make_hierarchy()
+        occupied = [(0, 0), (0, 1), (1, 7), (2, 2), (3, 2), (5, 5), (7, 0), (7, 7)]
+        plan = ShardPlan(hierarchy, 3, cubes=occupied)
+        for members in scalar_groups(hierarchy, occupied, plan.level):
+            assert len({plan.shard_of(index) for index in members}) == 1
+        flat = [index for shard in range(3) for index in plan.cubes_of(shard)]
+        assert flat == [
+            index
+            for members in scalar_groups(hierarchy, occupied, plan.level)
+            for index in members
         ]
-        assert mailbox.exchanged == 3 and len(mailbox) == 0
-
-    def test_drain_is_a_prefix_cut_on_time(self):
-        mailbox = ShardMailbox()
-        for time in (0.5, 1.0, 1.5, 2.5):
-            mailbox.post(time, 0, 1)
-        drained = mailbox.drain_until(1.5)
-        assert [entry[0] for entry in drained] == [0.5, 1.0, 1.5]
-        assert len(mailbox) == 1
-        assert [entry[0] for entry in mailbox.drain_until(math.inf)] == [2.5]
-
-    def test_counters(self):
-        mailbox = ShardMailbox()
-        mailbox.post(1.0, 0, 1)
-        mailbox.post(2.0, 1, 0)
-        assert mailbox.posted == 2
-        mailbox.drain_until(1.0)
-        assert mailbox.exchanged == 1
 
 
 class TestShardMonitor:
@@ -159,9 +150,7 @@ class TestShardMonitor:
         hierarchy = make_hierarchy()
         plan = ShardPlan(hierarchy, 2)
         grid = hierarchy.grid
-        simulator = Simulator()
-        mailbox = ShardMailbox()
-        monitor = ShardMonitor(plan, grid.cube_index, simulator, mailbox)
+        monitor = ShardMonitor(plan, grid.cube_index)
 
         left = next(c for c in plan.cubes if plan.shard_of(c) == 0)
         right = next(c for c in plan.cubes if plan.shard_of(c) == 1)
@@ -171,79 +160,107 @@ class TestShardMonitor:
         assert (monitor.intra_shard, monitor.cross_shard) == (1, 0)
         monitor(point_of[left], point_of[right], "ping")
         assert (monitor.intra_shard, monitor.cross_shard) == (1, 1)
-        assert mailbox.posted == 1
-        (entry,) = mailbox.drain_until(math.inf)
-        assert entry[2:] == (0, 1, "str")
+
+    def test_identity_shard_is_resolved_once(self):
+        plan = ShardPlan(make_hierarchy(), 2)
+        grid = make_hierarchy().grid
+        lookups = []
+
+        def cube_of(identity):
+            lookups.append(identity)
+            return grid.cube_index(identity)
+
+        monitor = ShardMonitor(plan, cube_of)
+        for _ in range(3):
+            monitor((0, 0), (1, 1), "ping")
+        assert lookups == [(0, 0), (1, 1)]
+        assert monitor.intra_shard == 3
+
+    def test_unassigned_home_cube_counts_as_shard_zero(self):
+        hierarchy = make_hierarchy()
+        plan = ShardPlan(hierarchy, 2, cubes=[(0, 0), (7, 7)])
+        monitor = ShardMonitor(plan, hierarchy.grid.cube_index)
+        assert plan.shard_of((0, 0)) == 0 and plan.shard_of((7, 7)) == 1
+        monitor((12, 12), (0, 0), "ping")  # cube (4, 4) is in no shard
+        monitor((12, 12), (21, 21), "ping")
+        assert (monitor.intra_shard, monitor.cross_shard) == (1, 1)
+
+    def test_single_shard_plan_counts_everything_intra(self):
+        hierarchy = make_hierarchy()
+        plan = ShardPlan(hierarchy, 1)
+        monitor = ShardMonitor(plan, hierarchy.grid.cube_index)
+        for sender, destination in [((0, 0), (23, 23)), ((23, 0), (0, 23))]:
+            monitor(sender, destination, "ping")
+        assert (monitor.intra_shard, monitor.cross_shard) == (2, 0)
+
+    def test_cross_count_is_direction_symmetric(self):
+        hierarchy = make_hierarchy()
+        plan = ShardPlan(hierarchy, 4)
+        grid = hierarchy.grid
+        monitor = ShardMonitor(plan, grid.cube_index)
+        points = [box.lo for _index, box in grid.cubes()]
+        for a in points[::7]:
+            for b in points[::11]:
+                monitor(a, b, None)
+        forward = monitor.cross_shard
+        monitor.cross_shard = monitor.intra_shard = 0
+        for a in points[::7]:
+            for b in points[::11]:
+                monitor(b, a, None)
+        assert monitor.cross_shard == forward > 0
 
 
-class TestLockstepWindow:
-    def test_transport_latency_wins(self):
-        transport = build_transport(TransportSpec(kind="latency", params={"delay": 2.5}))
-        assert lockstep_window(transport, fallback=1.0) == 2.5
+def worker_result(shard, cube, energies, **counters):
+    """A minimal ``_shard_worker`` result dict for merge tests."""
+    identities = [(cube[0] * 3 + k, cube[1] * 3) for k in range(len(energies))]
+    result = {
+        "shard": shard,
+        "elapsed": 0.1 * (shard + 1),
+        "segments": [(cube, identities, list(energies), [1.0] * len(energies))],
+        "jobs_total": len(energies),
+        "served": len(energies),
+        "max_energy": max(energies) + 1.0,
+        "replacements": 0,
+        "searches": 0,
+        "failed_replacements": 0,
+        "messages": 0,
+        "heartbeat_rounds": 0,
+        "messages_dropped": 0,
+        "messages_corrupted": 0,
+        "events": len(energies),
+        "sim_time": float(len(energies)),
+        "vehicles": len(energies),
+        "replicated_events": 0,
+    }
+    result.update(counters)
+    return result
 
-    def test_fallback_for_instant_transports(self):
-        transport = build_transport(None)  # reliable, zero fixed delay
-        assert lockstep_window(transport, fallback=0.25) == 0.25
 
-    def test_unit_floor(self):
-        transport = build_transport(None)
-        assert lockstep_window(transport, fallback=0.0) == 1.0
+class TestMergeShardResults:
+    def test_one_drain_per_worker_result(self):
+        results = [worker_result(s, (s, 0), [0.5]) for s in range(3)]
+        assert merge_shard_results(results)["window_barriers"] == 3
+        assert merge_shard_results(results[:1])["window_barriers"] == 1
 
+    def test_counters_sum_and_replicated_rounds_take_the_max(self):
+        merged = merge_shard_results(
+            [
+                worker_result(0, (0, 0), [1.0, 2.0], messages=5, heartbeat_rounds=7),
+                worker_result(1, (1, 0), [3.0], messages=4, heartbeat_rounds=9),
+            ]
+        )
+        assert merged["messages"] == 9
+        assert merged["heartbeat_rounds"] == 9  # every shard runs every round
+        assert merged["jobs_total"] == merged["served"] == 3
+        assert merged["max_energy"] == 4.0
+        assert merged["sim_time"] == 2.0
+        assert merged["timings"] == {0: 0.1, 1: 0.2}
 
-class TestRunLockstep:
-    @staticmethod
-    def _chain(simulator, log, depth):
-        """Self-scheduling events: each execution schedules one more."""
-
-        def event(step=0):
-            log.append((simulator.now, step))
-            if step < depth:
-                simulator.schedule_at(simulator.now + 0.7, lambda s=step + 1: event(s))
-
-        return event
-
-    def test_same_events_same_order_as_quiescent(self):
-        reference = Simulator()
-        ref_log = []
-        reference.schedule_at(0.3, self._chain(reference, ref_log, 6))
-        reference.run_until_quiescent()
-
-        simulator = Simulator()
-        log = []
-        simulator.schedule_at(0.3, self._chain(simulator, log, 6))
-        executed, barriers = run_lockstep(simulator, 1.0)
-        assert log == ref_log
-        assert executed == reference.events_processed
-        assert barriers >= 1
-
-    def test_empty_windows_are_skipped(self):
-        simulator = Simulator()
-        hits = []
-        simulator.schedule_at(100.0, lambda: hits.append(simulator.now))
-        _, barriers = run_lockstep(simulator, 1.0)
-        assert hits == [100.0]
-        # One barrier just past t=100, not a hundred idle ones.
-        assert barriers == 1
-
-    def test_mailbox_drained_at_barriers(self):
-        simulator = Simulator()
-        mailbox = ShardMailbox()
-        simulator.schedule_at(0.5, lambda: mailbox.post(simulator.now, 0, 1))
-        simulator.schedule_at(1.5, lambda: mailbox.post(simulator.now, 1, 0))
-        run_lockstep(simulator, 1.0, mailbox=mailbox)
-        assert len(mailbox) == 0
-        assert mailbox.exchanged == 2
-
-    def test_window_must_be_positive(self):
-        with pytest.raises(ValueError):
-            run_lockstep(Simulator(), 0.0)
-
-    def test_max_events_guard(self):
-        simulator = Simulator()
-
-        def forever():
-            simulator.schedule_at(simulator.now + 0.1, forever)
-
-        simulator.schedule_at(0.0, forever)
-        with pytest.raises(RuntimeError):
-            run_lockstep(simulator, 1.0, max_events=50)
+    def test_segments_merge_in_global_cube_order(self):
+        early = worker_result(1, (0, 1), [0.1, 0.2])
+        late = worker_result(0, (2, 0), [1e16])
+        merged = merge_shard_results([late, early])
+        # Lex cube order (0, 1) < (2, 0), whatever order the workers report.
+        assert list(merged["vehicle_energies"]) == [(0, 3), (1, 3), (6, 0)]
+        assert merged["total_travel"] == (0.1 + 0.2) + 1e16
+        assert merged == merge_shard_results([early, late])

@@ -9,11 +9,13 @@ Three relations pin the cross-cube escalation layer, with no goldens:
 * **worker-count determinism** -- escalated runs are byte-identical
   across 1 thread, 4 threads, and 4 processes (the new messages, ring
   state, and adoption bookkeeping must all be free of ambient state);
-* **driver equivalence** -- with escalation enabled and no failures, the
-  ``engine="rounds"`` adapter still reproduces the event driver exactly,
-  and enabling escalation on a failure-free intra-cube run changes no
-  physical outcome at all (escalation only ever fires when a cube search
-  exhausts).
+* **inertness** -- enabling escalation on a failure-free intra-cube run
+  changes no physical outcome at all (escalation only ever fires when a
+  cube search exhausts);
+* **shard equivalence** -- with escalation and monitoring enabled and no
+  failures, a ``shards=4`` run (the single-process ``lockstep`` fallback,
+  whose only addition is the cross-shard send counter) reproduces the
+  unsharded run exactly.
 """
 
 from __future__ import annotations
@@ -127,21 +129,22 @@ def _fingerprint(result):
     )
 
 
-class TestDriverEquivalenceWithEscalation:
-    @pytest.mark.parametrize("family", ["hotspot", "scale-up", "mobility"])
-    def test_rounds_equals_events_failure_free(self, family):
+class TestShardEquivalenceWithEscalation:
+    @pytest.mark.parametrize(
+        "family, cross", [("hotspot", 160), ("scale-up", 100), ("mobility", 144)]
+    )
+    def test_sharded_equals_unsharded_failure_free(self, family, cross):
         jobs = family_spec(family, seed=1, preset="small").jobs()
-        results = {
-            engine: run_online(
-                jobs,
-                capacity="theorem",
-                config=FleetConfig(monitoring=True, escalation=True),
-                engine=engine,
-            )
-            for engine in ("rounds", "events")
-        }
-        assert _fingerprint(results["rounds"]) == _fingerprint(results["events"])
+        config = FleetConfig(monitoring=True, escalation=True)
+        base = run_online(jobs, capacity="theorem", config=config)
+        sharded = run_online(jobs, capacity="theorem", config=config, shards=4)
+        assert sharded.shard_mode == "lockstep"
+        assert _fingerprint(sharded) == _fingerprint(base)
+        assert base.feasible and base.cross_shard_messages == 0
+        assert sharded.cross_shard_messages == cross
 
+
+class TestEscalationInertness:
     def test_escalation_is_inert_on_failure_free_intra_cube_runs(self):
         """With healthy vehicles and theorem provisioning no search ever
         exhausts its cube, so enabling escalation must not change the

@@ -12,15 +12,6 @@ edge-keyed lossy/corrupting transports).  This suite pins the contract:
   recorded ``shard_mode_reason`` is the first structural property that
   forced the single-process lockstep fallback, and the fallback itself
   stays byte-identical.
-* **Window floor** (satellite 1) -- ``lockstep_window`` derives the
-  conservative window from actual probed cross-shard edge latencies;
-  sub-unit positive latencies no longer fall through to the hard 1.0
-  last resort.
-* **Mailbox prefix cuts** (satellite 3) -- many same-timestamp boundary
-  messages across >= 3 shards drain in exact ``(timestamp, sequence)``
-  order, prefix by prefix.
-* **Adaptive windows** -- ``run_lockstep`` with a horizon crosses fewer
-  barriers over quiet stretches yet executes the identical event sequence.
 * **N -> M resume** -- a service checkpoint taken under N shards resumes
   under M shards to the same ``result_hash`` / ``fleet_digest``.
 """
@@ -28,28 +19,15 @@ edge-keyed lossy/corrupting transports).  This suite pins the contract:
 from __future__ import annotations
 
 import copy
-import math
 
 import numpy as np
 import pytest
 
 from repro.core.demand import JobSequence
 from repro.core.online import run_online
-from repro.distsim.engine import Simulator
 from repro.distsim.failures import ChurnSpec, FailurePlan, PartitionSpec
 from repro.distsim.parallel_lockstep import parallel_lockstep_eligibility
-from repro.distsim.sharding import (
-    ShardMailbox,
-    cross_shard_edge_latencies,
-    lockstep_window,
-    run_lockstep,
-)
-from repro.distsim.transport import (
-    CorruptingTransport,
-    DistanceLatencyTransport,
-    LossyTransport,
-    TransportSpec,
-)
+from repro.distsim.transport import LossyTransport, TransportSpec
 from repro.vehicles.fleet import FleetConfig
 
 #: Every field two runs must agree on to count as byte-identical.
@@ -160,8 +138,8 @@ class TestParallelLockstepByteIdentity:
         _assert_identical(baseline, serial)
 
     def test_one_barrier_per_shard(self, failure_workload):
-        # Zero outbound boundary edges -> infinite Chandy-Misra lookahead
-        # -> each worker free-runs through exactly one window barrier.
+        # No send ever crosses a shard, so each non-empty shard's worker
+        # drains its queue exactly once.
         sharded = self._run(failure_workload, 4)
         assert sharded.window_barriers == 4
 
@@ -198,7 +176,7 @@ class TestEligibilityAndFallback:
         sharded = self._run(jobs, 4, failure_plan=copy.deepcopy(plan), **kwargs)
         assert sharded.shard_mode == "lockstep"
         assert "shared stream" in sharded.shard_mode_reason
-        assert sharded.window_barriers > 0
+        assert sharded.cross_shard_messages == 0  # no escalation: cube-local
         _assert_identical(base, sharded)
 
     def test_escalation_reason(self, tiny_workload):
@@ -256,140 +234,6 @@ class TestEligibilityAndFallback:
             None, None, config, None, None, 0, False
         )
         assert ok  # fixed-delay reliable default, rebuilt per worker
-
-
-class TestLockstepWindowFloor:
-    """Satellite 1: the window derives from real edge latencies, not 1.0."""
-
-    def test_probed_latencies_beat_the_last_resort(self):
-        # A distance-proportional transport with a zero floor used to fall
-        # through min_latency (0) and fallback (0) to the hard 1.0 last
-        # resort -- wildly over-wide when actual cross-shard edges sit a
-        # few lattice steps apart.
-        transport = DistanceLatencyTransport(delay=0.0, per_step=0.002)
-        assert transport.min_latency() == 0.0
-        window = lockstep_window(transport, 0.0, edge_latencies=[0.006, 0.014])
-        assert window == 0.006
-
-    def test_non_positive_probes_are_ignored(self):
-        transport = LossyTransport(delay=0.25)
-        assert lockstep_window(transport, 0.0, edge_latencies=[0.0, -1.0]) == 0.25
-        assert lockstep_window(transport, 0.0, edge_latencies=[]) == 0.25
-
-    def test_last_resort_only_when_nothing_is_positive(self):
-        assert lockstep_window(None, 0.0) == 1.0
-        assert lockstep_window(None, 0.05) == 0.05
-
-    def test_cross_shard_probe_sampling(self):
-        # Duck-typed plan: two boundary cubes owned by different shards,
-        # whose rank-1 siblings belong to the other shard.
-        class Hierarchy:
-            def siblings(self, index, level):
-                return [(index[0] + 1, index[1])]
-
-        class Plan:
-            hierarchy = Hierarchy()
-
-            def boundary_cubes(self):
-                return [(0, 0), (1, 0)]
-
-            def shard_of(self, index):
-                return index[0]
-
-            def shard_of_or(self, index, default):
-                return index[0] if index[0] <= 2 else default
-
-        members = {(0, 0): [(1, 1)], (1, 0): [(5, 1)], (2, 0): [(9, 1)]}
-        transport = DistanceLatencyTransport(delay=0.0, per_step=0.002)
-        probes = cross_shard_edge_latencies(transport, Plan(), members.get)
-        assert probes == [0.008, 0.008]  # 4 lattice steps * 0.002, per cube
-        assert lockstep_window(transport, 0.0, edge_latencies=probes) == 0.008
-
-
-class TestShardMailboxPrefixCut:
-    """Satellite 3: same-timestamp floods drain in exact posted order."""
-
-    def _flood(self):
-        mailbox = ShardMailbox()
-        # Three barrier epochs; inside each, nine same-timestamp messages
-        # interleaved across shards 0/1/2 in a fixed global send order.
-        for epoch in range(3):
-            time = float(epoch)
-            for burst in range(3):
-                for source in range(3):
-                    mailbox.post(time, source, (source + 1) % 3, (epoch, burst, source))
-        return mailbox
-
-    def test_drain_is_a_prefix_cut_in_sequence_order(self):
-        mailbox = self._flood()
-        assert mailbox.posted == 27
-        first = mailbox.drain_until(0.0)
-        assert len(first) == 9
-        # Same timestamp throughout: order is exactly the posting sequence.
-        assert [entry[1] for entry in first] == list(range(9))
-        assert [entry[4] for entry in first] == [
-            (0, burst, source) for burst in range(3) for source in range(3)
-        ]
-        assert len(mailbox) == 18
-        assert mailbox.exchanged == 9
-
-    def test_repeated_drains_partition_the_ledger(self):
-        mailbox = self._flood()
-        drained = []
-        for epoch in range(3):
-            batch = mailbox.drain_until(float(epoch))
-            assert all(entry[0] == float(epoch) for entry in batch)
-            drained.extend(batch)
-        assert len(drained) == 27
-        assert [entry[1] for entry in drained] == list(range(27))
-        assert len(mailbox) == 0
-        assert mailbox.drain_until(math.inf) == []
-
-    def test_mid_epoch_bound_takes_whole_timestamp_group(self):
-        mailbox = self._flood()
-        batch = mailbox.drain_until(1.5)
-        assert len(batch) == 18  # epochs 0 and 1, never a partial timestamp
-        assert {entry[0] for entry in batch} == {0.0, 1.0}
-        sources = [entry[2] for entry in batch]
-        assert sorted(set(sources)) == [0, 1, 2]
-
-
-class TestAdaptiveWindows:
-    """Horizon-bounded barriers: same events, fewer synchronization points."""
-
-    @staticmethod
-    def _sparse_simulator(log):
-        simulator = Simulator()
-        for time in (1.0, 50.0, 100.0):
-            simulator.schedule_at(time, lambda t=time: log.append(t))
-        return simulator
-
-    def test_grid_vs_horizon_same_events_fewer_barriers(self):
-        grid_log, horizon_log = [], []
-        grid_executed, grid_barriers = run_lockstep(
-            self._sparse_simulator(grid_log), 0.5
-        )
-        horizon_executed, horizon_barriers = run_lockstep(
-            self._sparse_simulator(horizon_log), 0.5, horizon=math.inf
-        )
-        assert grid_log == horizon_log == [1.0, 50.0, 100.0]
-        assert grid_executed == horizon_executed == 3
-        assert grid_barriers == 3  # empty windows are skipped, one per event
-        assert horizon_barriers == 1  # free-run: the Chandy-Misra optimum
-
-    def test_finite_horizon_batches_nearby_events(self):
-        log = []
-        simulator = Simulator()
-        for time in (1.0, 1.2, 1.4, 80.0):
-            simulator.schedule_at(time, lambda t=time: log.append(t))
-        executed, barriers = run_lockstep(simulator, 0.5, horizon=2.0)
-        assert log == [1.0, 1.2, 1.4, 80.0]
-        assert executed == 4
-        assert barriers == 2  # [1.0, 3.0) takes the cluster, one more for 80.0
-
-    def test_horizon_below_window_rejected(self):
-        with pytest.raises(ValueError, match="horizon"):
-            run_lockstep(Simulator(), 0.5, horizon=0.25)
 
 
 class TestServiceShardResume:

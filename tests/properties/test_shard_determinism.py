@@ -8,7 +8,7 @@ every mechanism:
   lossy} golden config (the same 40 configs the flat-core differential
   suite pins) run with ``shards=4`` reproduces the committed golden digest
   bit for bit.  These configs carry a seeded RNG transport, so they
-  exercise the *lockstep* mode (single fleet, window barriers).
+  exercise the *lockstep* mode (single fleet, cross-shard sends counted).
 * **Parallel isolated mode** -- a shard-safe direct ``run_online`` config
   (reliable transport, no failures) is byte-identical across shard counts,
   including the float-sum-sensitive energy totals.  This exercises the
@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.api import ExperimentEngine
+from repro.api import ConfigError, ExperimentEngine
 from repro.api.service import ServiceConfig
 from repro.core.online import run_online
 from repro.service import run_service
@@ -136,9 +136,7 @@ class TestParallelModeByteIdentity:
 
     @pytest.fixture(scope="class")
     def baseline(self, workload):
-        return run_online(
-            workload, capacity="theorem", config=FleetConfig(), engine="events"
-        )
+        return run_online(workload, capacity="theorem", config=FleetConfig())
 
     @pytest.mark.parametrize("shards", [2, 4, 7])
     def test_identical_across_shard_counts(self, workload, baseline, shards):
@@ -146,7 +144,6 @@ class TestParallelModeByteIdentity:
             workload,
             capacity="theorem",
             config=FleetConfig(),
-            engine="events",
             shards=shards,
         )
         assert sharded.shards == shards
@@ -159,34 +156,49 @@ class TestParallelModeByteIdentity:
             workload,
             capacity="theorem",
             config=FleetConfig(),
-            engine="events",
             rng=np.random.default_rng(7),
         )
         sharded = run_online(
             workload,
             capacity="theorem",
             config=FleetConfig(),
-            engine="events",
             rng=np.random.default_rng(7),
             shards=SHARDS,
         )
-        assert sharded.window_barriers > 0  # proof it went through lockstep
+        assert sharded.shard_mode == "lockstep"
         for field in self.FIELDS:
             assert getattr(sharded, field) == getattr(base, field), field
 
-    def test_sharded_rounds_engine_rejected(self, workload):
-        with pytest.raises(ValueError, match="engine"):
-            run_online(workload, engine="rounds", shards=2)
+    def test_escalated_lockstep_counts_cross_shard_sends(self, workload):
+        # Escalation rings and hierarchical watch edges cross cube (hence
+        # shard) boundaries; the single-process fallback counts them.
+        sharded = run_online(
+            workload,
+            capacity=None,
+            config=FleetConfig(escalation=True, monitoring=True),
+            shards=SHARDS,
+        )
+        assert sharded.shard_mode == "lockstep"
+        assert sharded.shard_mode_reason.startswith("escalation")
+        assert sharded.messages == 41472
+        assert sharded.cross_shard_messages == 2304
+
+    def test_sharded_unknown_engine_param_rejected(self):
+        config = family_config(
+            "scale-up", "online", seed=SEED, preset=PRESET, params={"engine": "rounds"}
+        ).replace(shards=2)
+        with pytest.raises(ConfigError, match="engine"):
+            ExperimentEngine().run(config)
 
     @pytest.mark.parametrize("bad", [0, -1, 1.5, True])
     def test_shards_validation(self, workload, bad):
         with pytest.raises(ValueError):
-            run_online(workload, engine="events", shards=bad)
+            run_online(workload, shards=bad)
 
     @pytest.mark.parametrize("bad", [0, -1, 1.5, True])
     def test_shard_workers_validation(self, workload, bad):
         with pytest.raises(ValueError, match="shard_workers"):
-            run_online(workload, engine="events", shards=SHARDS, shard_workers=bad)
+            run_online(workload, shards=SHARDS, shard_workers=bad)
 
 
 class TestServiceShardInvariance:
@@ -204,6 +216,24 @@ class TestServiceShardInvariance:
         base = self._run(demand, 1)
         sharded = self._run(demand, SHARDS)
         assert sharded.shards == SHARDS
+        assert sharded.result_hash() == base.result_hash()
+        assert sharded.fleet_digest == base.fleet_digest
+
+    def test_escalated_run_counts_cross_shard_sends(self, demand):
+        def run(shards):
+            config = ServiceConfig.from_demand(
+                demand,
+                seed=5,
+                shards=shards,
+                capacity=None,
+                fleet=(("escalation", True), ("monitoring", True)),
+            )
+            return run_service(config, streaming_arrivals(demand, jobs=60))
+
+        base, sharded = run(1), run(SHARDS)
+        assert base.cross_shard_messages == 0
+        assert sharded.messages == base.messages == 3840
+        assert sharded.cross_shard_messages == 240
         assert sharded.result_hash() == base.result_hash()
         assert sharded.fleet_digest == base.fleet_digest
 

@@ -2,10 +2,8 @@
 
 Three relations pin the transport layer, with no golden values:
 
-* **adapter/event equivalence** -- under a reliable transport the
-  ``engine="rounds"`` adapter and the native event driver produce the same
-  physical outcome (served jobs, energies, messages, counters) on every
-  failure-free family workload;
+* **reliable spec** -- an explicit ``TransportSpec("reliable")`` runs
+  every failure-free family workload over the reliable transport;
 * **invariants under adversarial channels** -- for every family x online
   solver, seeded loss and Byzantine corruption may degrade service but
   never break the model: all solvers still agree on ``omega*``, any
@@ -48,39 +46,17 @@ ADVERSARIAL_TRANSPORTS = (
 RELATIVE_TOLERANCE = 1e-6
 
 
-def _fingerprint(result):
-    return (
-        result.jobs_served,
-        result.feasible,
-        result.max_vehicle_energy,
-        result.total_travel,
-        result.total_service,
-        result.replacements,
-        result.searches,
-        result.messages,
-        tuple(sorted(result.vehicle_energies.items())),
-    )
-
-
 @pytest.mark.parametrize("family", FAMILIES)
-class TestRoundAdapterMatchesEventDriver:
-    """engine="rounds" is an adapter over the event clock; under a reliable
-    transport it must reproduce the native event driver's physics exactly
-    on failure-free runs."""
-
-    def test_equivalent_under_reliable_transport(self, family):
+class TestReliableTransportSpec:
+    def test_runs_over_reliable_transport(self, family):
         jobs = family_spec(family, seed=SEED, preset="small").jobs()
-        results = {}
-        for engine in ("rounds", "events"):
-            results[engine] = run_online(
-                jobs,
-                capacity="theorem",
-                config=FleetConfig(),
-                transport=TransportSpec("reliable"),
-                engine=engine,
-            )
-        assert _fingerprint(results["rounds"]) == _fingerprint(results["events"])
-        assert results["events"].transport == "reliable"
+        result = run_online(
+            jobs,
+            capacity="theorem",
+            config=FleetConfig(),
+            transport=TransportSpec("reliable"),
+        )
+        assert result.transport == "reliable"
 
 
 def _adversarial_config(family: str, solver: str, transport: TransportSpec):

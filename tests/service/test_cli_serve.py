@@ -161,3 +161,17 @@ class TestRunMetricsOut:
         )
         assert code == 2
         assert "online" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("metrics_out", [False, True])
+    def test_unknown_engine_param_exits_2(self, tmp_path, demand_path, metrics_out, capsys):
+        argv = ["run", "--demand-json", demand_path, "--solver", "online",
+                "--param", "engine=rounds"]
+        if metrics_out:
+            argv += ["--metrics-out", str(tmp_path / "metrics.jsonl")]
+        assert main(argv) == 2
+        assert "engine" in capsys.readouterr().err
+
+    def test_events_engine_param_still_accepted(self, demand_path):
+        argv = ["run", "--demand-json", demand_path, "--solver", "online",
+                "--order", "sequential"]
+        assert main(argv + ["--param", "engine=events"]) == 0
