@@ -29,7 +29,12 @@ detection latency in heartbeat rounds at the ``10^3``-vehicle scale under
 10% loss must stay below the committed ``gossip_detection_rounds_1e3``
 ceiling (same tolerance, inverted sense -- detection regresses by getting
 *slower*), and the report's own ``within_bound`` flag (p99 against the
-``2 * log2(n) * miss`` epidemic-spread bound) must be true.
+``2 * log2(n) * miss`` epidemic-spread bound) must be true.  The same
+report's failure-free heartbeat-round rates on the 10% global-loss
+channel must clear the committed ``gossip_rounds_per_sec_1e3`` and
+``ring_lossy_rounds_per_sec_1e3`` floors (same tolerance): a gossip round
+that goes back to O(n) work per vehicle, or lossy broadcasts that leave
+the batched dispatch path, fail them.
 
 ``--scale-report`` also gates the cube-sharded ``10^5``-vehicle tier: the
 report's ``sharded_events_per_sec`` (wall-clock events/sec of the
@@ -167,6 +172,24 @@ def extract_gossip_metrics(gossip_report: dict) -> tuple:
     return float(p99), bool(gossip_report["within_bound"])
 
 
+#: The bench_gossip.py round rates gated as floors, with their report labels.
+GOSSIP_ROUND_FLOORS = {
+    "gossip_rounds_per_sec_1e3": "gossip rounds (1e3, 10% loss)",
+    "ring_lossy_rounds_per_sec_1e3": "ring rounds (1e3, 10% loss)",
+}
+
+
+def extract_gossip_round_rates(gossip_report: dict) -> dict:
+    """The gated heartbeat-round rates (rounds/sec) of a bench_gossip.py report."""
+    missing = [key for key in GOSSIP_ROUND_FLOORS if key not in gossip_report]
+    if missing:
+        raise SystemExit(
+            f"gossip report carries no {', '.join(missing)}; "
+            "run: python benchmarks/bench_gossip.py --quick --out BENCH_gossip.json"
+        )
+    return {key: float(gossip_report[key]) for key in GOSSIP_ROUND_FLOORS}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("report", help="pytest-benchmark JSON report path")
@@ -228,10 +251,11 @@ def main(argv=None) -> int:
         )
     gossip = None
     gossip_within_bound = True
+    gossip_rates = {}
     if args.gossip_report is not None:
-        gossip, gossip_within_bound = extract_gossip_metrics(
-            json.loads(Path(args.gossip_report).read_text())
-        )
+        gossip_payload = json.loads(Path(args.gossip_report).read_text())
+        gossip, gossip_within_bound = extract_gossip_metrics(gossip_payload)
+        gossip_rates = extract_gossip_round_rates(gossip_payload)
 
     baseline_path = Path(args.baseline)
     if args.update:
@@ -248,6 +272,7 @@ def main(argv=None) -> int:
             refreshed["stream_events_per_sec_1e3"] = stream
         if gossip is not None:
             refreshed["gossip_detection_rounds_1e3"] = gossip
+        refreshed.update(gossip_rates)
         if baseline_path.exists():
             # Preserve calibration notes and any other extra keys.
             previous = json.loads(baseline_path.read_text())
@@ -266,6 +291,8 @@ def main(argv=None) -> int:
             print(f"baseline updated: {stream:.0f} stream events/sec (1e3)")
         if gossip is not None:
             print(f"baseline updated: {gossip:.1f} gossip detection rounds p99 (1e3)")
+        for key, rate in gossip_rates.items():
+            print(f"baseline updated: {rate:.2f} {GOSSIP_ROUND_FLOORS[key]} rounds/sec")
         return 0
 
     baseline_payload = json.loads(baseline_path.read_text())
@@ -440,6 +467,30 @@ def main(argv=None) -> int:
             f"bound {'ok' if gossip_within_bound else 'EXCEEDED'} -> {gstatus}"
         )
 
+    rates_passed = True
+    for key, rate in gossip_rates.items():
+        rate_base = baseline_payload.get(key)
+        if rate_base is None:
+            raise SystemExit(
+                f"--gossip-report given but the baseline carries no {key}; add it"
+            )
+        rate_floor = float(rate_base) * (1.0 - args.tolerance)
+        rate_passed = rate >= rate_floor
+        rates_passed = rates_passed and rate_passed
+        artifact.update(
+            {
+                key: rate,
+                f"baseline_{key}": float(rate_base),
+                f"floor_{key}": rate_floor,
+                f"{key}_pass": rate_passed,
+            }
+        )
+        print(
+            f"{GOSSIP_ROUND_FLOORS[key]}: {rate:.2f} rounds/sec "
+            f"(baseline {float(rate_base):.2f}, floor {rate_floor:.2f}) "
+            f"-> {'ok' if rate_passed else 'REGRESSION'}"
+        )
+
     overall = (
         passed
         and construction_passed
@@ -448,6 +499,7 @@ def main(argv=None) -> int:
         and lockstep_passed
         and stream_passed
         and gossip_passed
+        and rates_passed
     )
     artifact["pass"] = overall
     out_path = Path(args.out)

@@ -177,6 +177,8 @@ class FailurePlan:
 
     def is_partitioned(self, a: Hashable, b: Hashable) -> bool:
         """Whether an active partition window separates ``a`` from ``b`` now."""
+        if not self.partitions:
+            return False
         return any(
             spec.active_at(self.clock) and spec.separates(a, b)
             for spec in self.partitions

@@ -161,13 +161,16 @@ class Network:
         """Send one message to many destinations, batched when possible.
 
         The common case of the protocol's traffic is a *broadcast*: the
-        same heartbeat, query, or notice to every peer of a cube.  When
+        same heartbeat, query, digest or notice to several peers.  When
         the transport reports a shared batch delay (the reliable
-        fixed-delay channel), the whole broadcast pays one failure-plan
-        pass, one transport call and one calendar-queue batch push instead
-        of a per-message ``send`` stack.  Otherwise -- lossy, corrupting,
-        per-edge-latency and jitter transports, whose streams must be
-        consumed in per-message send order -- it falls back to
+        fixed-delay channel and the global-stream lossy channel), the
+        whole broadcast pays one failure-plan pass, one loss-mask draw
+        over the plan's survivors (:meth:`Transport.batch_survivors`, in
+        destination order, so the loss stream is consumed exactly as the
+        per-message sends consume it), one transport call and one
+        calendar-queue batch push instead of a per-message ``send`` stack.
+        Otherwise -- edge-stream lossy, corrupting, retransmitting,
+        per-edge-latency and jitter transports -- it falls back to
         :meth:`send`, byte-identically.
         """
         transport = self.transport
@@ -211,7 +214,10 @@ class Network:
             # so far are still scheduled -- the same state a sequential
             # `send` loop leaves behind when it raises.
             if survivors:
-                transport.send_batch(sender, survivors, message, make_deliver, delay)
+                kept = transport.batch_survivors(sender, survivors, message)
+                self.messages_dropped += len(survivors) - len(kept)
+                if kept:
+                    transport.send_batch(sender, kept, message, make_deliver, delay)
 
     # ------------------------------------------------------------------ #
     # execution helpers

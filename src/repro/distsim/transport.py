@@ -209,7 +209,7 @@ class Transport:
         return True
 
     # ------------------------------------------------------------------ #
-    # batched dispatch (the reliable fixed-delay fast path)
+    # batched dispatch (fixed-delay broadcasts)
     # ------------------------------------------------------------------ #
 
     def batch_latency(
@@ -218,15 +218,27 @@ class Transport:
         """The shared delay of a batchable broadcast, or ``None``.
 
         A transport may return a single non-negative delay when delivering
-        ``message`` from ``sender`` to every destination (i) cannot drop,
-        (ii) cannot mutate, and (iii) costs the same delay on every link --
-        the network then routes the whole broadcast through one
+        ``message`` from ``sender`` to every destination (i) cannot
+        mutate, (ii) costs the same delay on every link, and (iii) drops
+        only through :meth:`batch_survivors` -- the network then routes the
+        whole broadcast through one :meth:`batch_survivors` and one
         :meth:`send_batch` call instead of one :meth:`send` per
         destination.  The default ``None`` keeps the per-message path;
-        only :class:`ReliableTransport` (the differential suites' common
-        case) opts in.
+        :class:`ReliableTransport` (never drops) and the global-stream
+        :class:`LossyTransport` (one loss draw per message, in destination
+        order) opt in.
         """
         return None
+
+    def batch_survivors(self, sender: Hashable, destinations: list, message: Any) -> list:
+        """The destinations of a batched broadcast whose copy the channel keeps.
+
+        Called once per batched broadcast with the destinations the failure
+        plan let through, in send order; it must consume any loss stream
+        and count losses exactly as one :meth:`send` per destination would.
+        Default: the channel loses nothing.
+        """
+        return destinations
 
     def send_batch(
         self,
@@ -239,10 +251,11 @@ class Transport:
         """Schedule one message to many destinations in a single batch.
 
         Only valid after :meth:`batch_latency` returned ``delay`` for this
-        broadcast (no drops, no mutation, uniform delay).  FIFO clamping
-        per directed link is applied exactly as :meth:`send` does; when no
-        link needs clamping -- the overwhelmingly common case -- the whole
-        batch lands in one calendar-queue bucket via ``push_many_at``.
+        broadcast (no mutation, uniform delay), with the destinations
+        :meth:`batch_survivors` kept.  FIFO clamping per directed link is
+        applied exactly as :meth:`send` does; when no link needs clamping
+        -- the overwhelmingly common case -- the whole batch lands in one
+        calendar-queue bucket via ``push_many_at``.
         Sequence numbers are assigned in destination order, so event
         execution is byte-identical to per-message sends.
         """
@@ -437,7 +450,9 @@ class LossyTransport(Transport):
     * ``"global"`` (the default, and the compat shim): each send consumes
       one draw from the transport's own generator, in global send order --
       deterministic per run, reproducing every pre-split hash, but *not*
-      shardable (the stream couples all edges together).
+      shardable (the stream couples all edges together).  A broadcast
+      draws its k draws as one ``random(k)`` mask
+      (:meth:`batch_survivors`), the same values in the same order.
     * ``"edge"``: each draw is derived per ``(edge, purpose, seed, message
       counter)`` through a keyed counter stream
       (:func:`_edge_stream_rng`).  Draws depend only on per-edge send
@@ -484,6 +499,25 @@ class LossyTransport(Transport):
             rng = _edge_stream_rng(self.seed, _LOSS_SALT, sender, destination, counter)
             return bool(rng.random() < self.loss)
         return bool(self._rng.random() < self.loss)
+
+    def batch_latency(
+        self, sender: Hashable, destinations: Any, message: Any
+    ) -> Optional[float]:
+        # The global stream batches: ``Generator.random(k)`` yields the same
+        # values, and leaves the generator in the same state, as k scalar
+        # draws.  Edge streams derive one generator per message and stay on
+        # the per-message path, as do subclasses that override a hook.
+        if type(self) is LossyTransport and self.stream == "global":
+            return self.delay
+        return None
+
+    def batch_survivors(self, sender: Hashable, destinations: list, message: Any) -> list:
+        lost = (self._rng.random(len(destinations)) < self.loss).tolist()
+        dropped = sum(lost)
+        if not dropped:
+            return destinations
+        self.messages_dropped += dropped
+        return [destination for destination, gone in zip(destinations, lost) if not gone]
 
     @property
     def shardable(self) -> bool:

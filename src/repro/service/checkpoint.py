@@ -51,7 +51,7 @@ from repro.distsim.events import EventStats
 from repro.distsim.failures import ChurnSpec
 from repro.io.serialize import load_json, save_json
 from repro.service.metrics import LatencyDigest
-from repro.vehicles.fleet import Fleet, FleetStats
+from repro.vehicles.fleet import Fleet, FleetStats, gc_paused
 from repro.vehicles.registry import WATCH_NEVER, WATCH_NONE
 from repro.vehicles.state import TransferState, WorkingState
 
@@ -548,11 +548,14 @@ _HEADER = frozenset(
 )
 
 
+@gc_paused()
 def fleet_digest(fleet: Fleet) -> str:
     """SHA-256 over the fleet's complete captured state.
 
     Two runs have equal digests iff their physical *and* protocol state is
     byte-identical -- the strongest equality the differential suite checks.
+    The capture builds one small list per vehicle field and no cycles, so
+    it runs with the cyclic GC paused (see :func:`gc_paused`).
     """
     text = json.dumps(FLEET.capture(fleet), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -573,6 +576,13 @@ def capture_checkpoint(
     """Snapshot a service run at a clean boundary (see module docstring).
 
     ``rng`` is the run's shared generator (``None`` when unseeded).
+
+    Unlike :func:`fleet_digest`, the capture keeps the caller's GC state.
+    The full collections its allocations trigger also collect what the
+    dispatch since the last one promoted; paused, those collections move
+    into later dispatch windows instead (measured on a 10^4-vehicle
+    service checkpointing every 4 windows: median window time up about
+    30%, checkpoint windows down about 20%).
     """
     fleet = driver.fleet
     payload: Dict[str, Any] = {

@@ -20,6 +20,7 @@ from __future__ import annotations
 import bisect
 import gc
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -47,7 +48,27 @@ from repro.vehicles.registry import (
 from repro.vehicles.state import WorkingState
 from repro.vehicles.vehicle import VehicleProcess
 
-__all__ = ["FleetConfig", "Fleet"]
+__all__ = ["FleetConfig", "Fleet", "gc_paused"]
+
+
+@contextmanager
+def gc_paused():
+    """Pause the cyclic garbage collector across an allocation burst.
+
+    For bursts that allocate many small objects and create no garbage
+    cycles (fleet construction, the end-of-run fleet digest): the
+    generational GC would otherwise trigger collections that rescan the
+    whole live heap.  Reference counting still frees acyclic garbage.
+    The caller's GC state -- enabled or not -- is restored on exit, also
+    when the body raises.  Usable as a ``with`` block or a decorator.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 @dataclass(frozen=True)
@@ -310,14 +331,8 @@ class Fleet:
         # rescan the growing object graph (measured at ~half of 10^4-vehicle
         # construction time).  Nothing built here is garbage, so defer
         # collection until the burst is over.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
+        with gc_paused():
             self._build_vehicles_inner()
-        finally:
-            if gc_was_enabled:
-                gc.enable()
 
     def _build_vehicles_inner(self) -> None:
         radius = self.config.neighbor_radius

@@ -22,11 +22,18 @@ Peer selection must be byte-identical at any worker, process, or shard
 count, so it never consults a shared RNG: each draw is keyed blake2b
 over ``(identity, per-vehicle counter, slot)``, a pure function of state
 that checkpoints and restores exactly.
+
+A gossip round costs O(fanout) work per vehicle: peer sampling is an
+order statistic over the sorted candidates (no copy of the fleet), with
+the same picks as popping from a copied pool, and a digest sorts only the
+entries that can make its cap.
 """
 
 from __future__ import annotations
 
 import hashlib
+import heapq
+from bisect import bisect_left, insort
 from typing import Dict, Hashable, List, Sequence, Tuple
 
 from repro.grid.lattice import Point
@@ -58,17 +65,34 @@ def select_peers(
 ) -> List[Hashable]:
     """Pick ``fanout`` gossip peers without replacement, deterministically.
 
-    ``candidates`` must be in a canonical (sorted) order shared by every
-    worker; the sender itself is excluded.  Sampling pops from a shrinking
-    pool so the same vehicle is never drawn twice in one round, and the
-    per-vehicle ``counter`` advances the stream between rounds -- two
-    vehicles (or two rounds) never share a draw sequence.
+    ``candidates`` must be sorted ascending without duplicates, the
+    canonical order every worker shares; the sender itself is excluded.
+    The draws sample a shrinking pool: draw ``slot`` picks position
+    ``_draw(identity, counter, slot, size - slot)`` among the candidates
+    not yet picked, so the same vehicle is never drawn twice in one round,
+    and the per-vehicle ``counter`` advances the stream between rounds --
+    two vehicles (or two rounds) never share a draw sequence.
+
+    The pool is never built: the sender is found with ``bisect`` and each
+    draw becomes a candidate position by stepping over the positions
+    already picked (an order statistic of the remaining pool).  The picks
+    are those of popping from a copied pool, at O(fanout^2 + log n) per
+    call instead of O(n).
     """
-    pool = [peer for peer in candidates if peer != identity]
+    own = bisect_left(candidates, identity)
+    if own == len(candidates) or candidates[own] != identity:
+        own = len(candidates)  # the sender is not a candidate
+    size = len(candidates) - (own < len(candidates))
+    taken: List[int] = []
     chosen: List[Hashable] = []
-    for slot in range(min(fanout, len(pool))):
-        index = _draw(identity, counter, slot, len(pool))
-        chosen.append(pool.pop(index))
+    for slot in range(min(fanout, size)):
+        position = _draw(identity, counter, slot, size - slot)
+        for previous in taken:
+            if previous > position:
+                break
+            position += 1
+        insort(taken, position)
+        chosen.append(candidates[position + (position >= own)])
     return chosen
 
 
@@ -79,7 +103,13 @@ def freshest_entries(
 
     Most recent round first, ties broken by pair key so the digest is a
     pure function of the ``last_heard`` mapping (byte-identical across
-    dict insertion orders).
+    dict insertion orders).  Only the entries at or above the ``cap``-th
+    largest round can make the cut, so only those are sorted.
     """
-    ranked = sorted(last_heard.items(), key=lambda item: (-item[1], item[0]))
-    return tuple(ranked[:cap])
+    if 0 < cap < len(last_heard):
+        floor = heapq.nlargest(cap, last_heard.values())[-1]
+        items = [item for item in last_heard.items() if item[1] >= floor]
+    else:
+        items = list(last_heard.items())
+    items.sort(key=lambda item: (-item[1], item[0]))
+    return tuple(items[:cap])

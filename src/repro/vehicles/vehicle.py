@@ -975,10 +975,14 @@ class VehicleProcess(Process):
         )
         if not peers:
             return
+        # One sort of flat triples: ``(pair_key, reporter)`` is unique, so
+        # this is the pair-then-reporter order and rounds never compare.
         silent = tuple(
-            (pair_key, reporter, reported)
-            for pair_key in sorted(self.gossip_reports)
-            for reporter, reported in sorted(self.gossip_reports[pair_key].items())
+            sorted(
+                (pair_key, reporter, reported)
+                for pair_key, reporters in self.gossip_reports.items()
+                for reporter, reported in reporters.items()
+            )
         )
         digest = GossipDigest(
             self.identity, round_id, freshest_entries(self.last_heard), silent

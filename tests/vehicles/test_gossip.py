@@ -12,6 +12,8 @@ suspicions, but honest peers refuse to co-sign for pairs they still hear.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.api import ConfigError, ExperimentEngine, FailureSpec, RunConfig, ScenarioSpec
@@ -20,7 +22,8 @@ from repro.core.online import _run_events, provision_fleet, run_online
 from repro.distsim.failures import FailurePlan
 from repro.distsim.transport import TransportSpec, build_transport
 from repro.vehicles.fleet import FleetConfig
-from repro.vehicles.gossip import GOSSIP_ENTRY_CAP, freshest_entries, select_peers
+from repro.vehicles.gossip import GOSSIP_ENTRY_CAP, _draw, freshest_entries, select_peers
+from repro.vehicles.messages import GossipDigest
 
 #: One 4-cube under omega=4: eight pairs, so every cube has enough honest
 #: watchers for any reasonable suspicion threshold and quorum.
@@ -96,6 +99,138 @@ class TestPeerSelection:
             for identity in self.CANDIDATES[:10]
         }
         assert len(draws) > 1
+
+
+def _reference_select_peers(identity, counter, candidates, fanout):
+    """Pop-from-a-copied-pool sampling: the definition of the picks."""
+    pool = [peer for peer in candidates if peer != identity]
+    chosen = []
+    for slot in range(min(fanout, len(pool))):
+        index = _draw(identity, counter, slot, len(pool))
+        chosen.append(pool.pop(index))
+    return chosen
+
+
+def _reference_freshest_entries(last_heard, cap=GOSSIP_ENTRY_CAP):
+    """Full sort, then cut: the definition of a digest's entries."""
+    ranked = sorted(last_heard.items(), key=lambda item: (-item[1], item[0]))
+    return tuple(ranked[:cap])
+
+
+class TestPeerSelectionOracle:
+    """The order-statistic sampler picks exactly what the pop-based one does."""
+
+    CASES = 20_000
+
+    def test_random_cases_match_the_pop_based_reference(self):
+        rng = random.Random(20260)
+        grid = [(x, y) for x in range(8) for y in range(8)]
+        for _ in range(self.CASES):
+            candidates = sorted(rng.sample(grid, rng.randint(0, len(grid))))
+            if candidates and rng.random() < 0.75:
+                identity = rng.choice(candidates)
+            else:
+                identity = (rng.randint(-2, 9), rng.randint(-2, 9))
+            fanout = rng.randint(0, len(candidates) + 3)
+            counter = rng.randrange(1 << 20)
+            assert select_peers(identity, counter, candidates, fanout) == (
+                _reference_select_peers(identity, counter, candidates, fanout)
+            ), (identity, counter, candidates, fanout)
+
+    def test_sender_absent_from_the_candidates(self):
+        candidates = [(x, 0) for x in range(10)]
+        for sender in ((-1, 0), (4, 1), (99, 99)):
+            for counter in range(50):
+                picks = select_peers(sender, counter, candidates, 4)
+                assert picks == _reference_select_peers(sender, counter, candidates, 4)
+                assert len(set(picks)) == 4
+
+    def test_fanout_zero_picks_nobody(self):
+        candidates = [(x, 0) for x in range(10)]
+        assert select_peers((3, 0), 5, candidates, 0) == []
+        assert select_peers((3, 0), 5, [], 3) == []
+        assert select_peers((3, 0), 5, [(3, 0)], 3) == []
+
+    def test_fanout_at_or_above_the_pool_takes_everyone_else_in_draw_order(self):
+        candidates = [(x, y) for x in range(4) for y in range(3)]
+        for sender in ((1, 1), (7, 7)):
+            pool = [peer for peer in candidates if peer != sender]
+            for fanout in (len(pool), len(pool) + 1, 50):
+                for counter in range(20):
+                    picks = select_peers(sender, counter, candidates, fanout)
+                    assert picks == _reference_select_peers(
+                        sender, counter, candidates, fanout
+                    )
+                    assert sorted(picks) == pool
+
+
+class TestFreshestEntriesOracle:
+    """The threshold-then-sort digest equals the full sort on every input."""
+
+    CASES = 20_000
+
+    def test_random_cases_match_the_full_sort(self):
+        rng = random.Random(7)
+        grid = [(x, y) for x in range(10) for y in range(10)]
+        for case in range(self.CASES):
+            size = rng.randint(0, 40)
+            # Alternate narrow round ranges (heavy ties) with wide ones.
+            top = 2 if case % 2 else 1000
+            last_heard = {
+                key: rng.randint(0, top) for key in rng.sample(grid, size)
+            }
+            cap = GOSSIP_ENTRY_CAP if case % 3 else rng.randint(0, 12)
+            assert freshest_entries(last_heard, cap) == (
+                _reference_freshest_entries(last_heard, cap)
+            ), (last_heard, cap)
+
+    def test_empty_last_heard(self):
+        assert freshest_entries({}) == ()
+
+    def test_at_most_cap_entries_are_all_kept_in_order(self):
+        heard = {(3, 0): 1, (0, 0): 4, (1, 2): 4, (2, 2): 0}
+        assert freshest_entries(heard) == (
+            ((0, 0), 4), ((1, 2), 4), ((3, 0), 1), ((2, 2), 0)
+        )
+        full = {(i, 0): i % 3 for i in range(GOSSIP_ENTRY_CAP)}
+        assert freshest_entries(full) == _reference_freshest_entries(full)
+
+    def test_every_round_tied_keeps_the_smallest_pair_keys(self):
+        heard = {(i, j): 9 for i in range(6) for j in range(6)}
+        entries = freshest_entries(heard)
+        assert entries == tuple(((0, j), 9) for j in range(6)) + (((1, 0), 9), ((1, 1), 9))
+
+    def test_ties_straddling_the_cut(self):
+        heard = {(i, 0): 5 for i in range(20)}
+        heard.update({(i, 1): 6 for i in range(3)})
+        entries = freshest_entries(heard)
+        assert entries == _reference_freshest_entries(heard)
+        assert [round_id for _, round_id in entries] == [6, 6, 6, 5, 5, 5, 5, 5]
+
+
+class TestDigestSilentOrder:
+    def test_silent_reports_are_ordered_by_pair_then_reporter(self):
+        fleet, _ = _gossip_fleet(dead=())
+        vehicle = fleet.vehicles[(1, 1)]
+        # Insertion order deliberately scrambled at both levels.
+        vehicle.gossip_reports = {
+            (2, 3): {(3, 3): 4, (0, 1): 7},
+            (0, 1): {(2, 2): 2, (1, 0): 9, (0, 3): 5},
+            (1, 2): {(3, 0): 1},
+        }
+        sent = []
+        vehicle.send_many = lambda peers, message: sent.append(message)
+        vehicle._gossip_send_digest(round_id=11)
+        (digest,) = sent
+        assert isinstance(digest, GossipDigest)
+        assert digest.silent == (
+            ((0, 1), (0, 3), 5),
+            ((0, 1), (1, 0), 9),
+            ((0, 1), (2, 2), 2),
+            ((1, 2), (3, 0), 1),
+            ((2, 3), (0, 1), 7),
+            ((2, 3), (3, 3), 4),
+        )
 
 
 class TestFreshestEntries:
